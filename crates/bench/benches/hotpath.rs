@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use mct_core::{ConfigSpace, MetricsPredictor, ModelKind, NvmConfig};
-use mct_experiments::{par_map, sweep_with_threads, Scale, EXPERIMENT_SEED};
+use mct_experiments::{run_grains, sweep_with_threads, Scale, EXPERIMENT_SEED};
 use mct_sim::energy::EnergyModel;
 use mct_sim::time::{Duration, Time};
 use mct_sim::wear::WearModel;
@@ -64,14 +64,16 @@ fn bench_event_loop(c: &mut Criterion) {
 fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_sweep");
     group.sample_size(10);
-    // par_map scheduling overhead on trivial work.
+    // Grain-scheduling overhead on trivial work.
     let items: Vec<u64> = (0..4096).collect();
     for threads in [1usize, 8] {
         group.bench_with_input(
-            BenchmarkId::new("par_map_4096_trivial", threads),
+            BenchmarkId::new("run_grains_4096_trivial", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| std::hint::black_box(par_map(&items, threads, |&x| x.wrapping_mul(31))));
+                b.iter(|| {
+                    std::hint::black_box(run_grains(&items, threads, |&x| x.wrapping_mul(31)))
+                });
             },
         );
     }

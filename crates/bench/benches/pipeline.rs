@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use mct_core::NvmConfig;
-use mct_experiments::cache::{fnv1a64, grain_key, GrainStore};
+use mct_core::{fnv1a64, NvmConfig};
+use mct_experiments::cache::{grain_key, GrainStore};
 use mct_experiments::{run_grains, shared_rig, Scale, EXPERIMENT_SEED};
 use mct_workloads::Workload;
 

@@ -22,7 +22,7 @@ use mct_sim::fault::FaultPlan;
 use mct_sim::stats::{Metrics, RunStats};
 use mct_sim::system::{System, SystemConfig};
 use mct_sim::trace::AccessSource;
-use mct_telemetry::{Event, RecorderHandle, Telemetry};
+use mct_telemetry::{RecorderHandle, Telemetry};
 
 use crate::config::NvmConfig;
 use crate::degrade::{DegradationAction, DegradationLadder};
@@ -284,6 +284,8 @@ pub struct Controller {
     samples: Vec<NvmConfig>,
     baseline_config: NvmConfig,
     telemetry: Telemetry,
+    /// The state store of the run in progress (`ControllerConfig::persist`).
+    persist: Option<PersistSession>,
 }
 
 impl Controller {
@@ -320,6 +322,7 @@ impl Controller {
             samples,
             baseline_config: NvmConfig::static_baseline(),
             telemetry: Telemetry::disabled(),
+            persist: None,
         }
     }
 
@@ -367,45 +370,42 @@ impl Controller {
     /// surface immediately, never a condition to continue past.
     pub fn run<S: AccessSource>(&mut self, source: &mut S) -> Outcome {
         let wear_budget = self.cfg.system.wear.budget();
+        let model = self.cfg.model;
         let mut sys = System::new(self.cfg.system.clone(), self.baseline_config.to_policy());
-        let run_span =
-            self.telemetry
-                .span_with("run", 0, &[("learner", self.cfg.model.short_label())]);
+        let run_span = self
+            .telemetry
+            .span_with("run", 0, &[("learner", model.short_label())]);
         // --- Crash-safe persistence (optional). ---
         // Opening the store replays any existing log: a clean prior run
         // arms the warm-start bank; an interrupted one becomes a
         // verification prefix — the controller re-executes from
-        // instruction zero and, while inside the prefix, every record it
-        // would write is compared against the log instead of appended,
-        // so recovery provably converges on the pre-crash trajectory
-        // before any new state is persisted.
-        let mut persist = self.cfg.persist.clone().map(|pcfg| {
-            let open_span = self.telemetry.span("persist.open", 0);
-            let started = StateRecord::RunStarted {
+        // instruction zero and, while inside the prefix, every durable
+        // record it emits is compared against the log instead of
+        // appended, so recovery provably converges on the pre-crash
+        // trajectory before any new state is persisted.
+        let run_started = (self.cfg.persist.is_some() || self.telemetry.enabled()).then(|| {
+            StateRecord::RunStarted {
                 schema: crate::persist::STATE_SCHEMA_VERSION,
                 seed: self.cfg.seed,
-                model: self.cfg.model,
+                model,
                 total_insts: self.cfg.total_insts,
                 config_digest: config_digest(&self.cfg),
-            };
-            let session = PersistSession::begin(&pcfg, &started)
-                // mct-tidy: allow(P002) -- documented `# Panics` contract: an unrecoverable store must fail loudly
-                .unwrap_or_else(|e| panic!("persist: cannot begin session in {}: {e}", pcfg.dir));
-            self.telemetry.close_span(open_span, 0);
-            if self.telemetry.enabled() {
-                self.telemetry
-                    .incr("persist.replayed_records", session.replayed() as u64);
-                if session.warm_available() {
-                    self.telemetry.incr("persist.warm_starts", 1);
-                }
             }
-            session
         });
+        if let (Some(pcfg), Some(started)) = (&self.cfg.persist, &run_started) {
+            let open_span = self.telemetry.span("persist.open", 0);
+            self.persist = match PersistSession::begin(pcfg, started) {
+                Ok(session) => Some(session),
+                // mct-tidy: allow(P002) -- documented `# Panics` contract: an unrecoverable store must fail loudly
+                Err(e) => panic!("persist: cannot begin session in {}: {e}", pcfg.dir),
+            };
+            self.telemetry.close_span(open_span, 0);
+        }
+        if let Some(started) = run_started {
+            self.emit(0, || started);
+        }
         let warmup_span = self.telemetry.span("warmup", 0);
-        let warmup_timer = self.telemetry.stage("warmup", 0);
         sys.warmup(source, self.cfg.warmup_insts);
-        self.telemetry
-            .finish_stage(warmup_timer, self.cfg.warmup_insts);
         // Span clocks stay at 0 through warmup: the trace's `sim_insts`
         // is the *measured* instruction clock (`executed`), which starts
         // after warmup. Wall time still captures the warmup cost.
@@ -442,7 +442,7 @@ impl Controller {
         // config would be caught by the health checks, exactly as a
         // stale banked fit would mid-run.
         let mut warm_coasting = false;
-        if let Some(session) = persist.as_mut() {
+        if let Some(session) = self.persist.as_mut() {
             for (apki_bits, state) in session.take_warm_bank() {
                 if fit_cache.len() < FIT_CACHE_SLOTS {
                     fit_cache.push((
@@ -452,16 +452,13 @@ impl Controller {
                     warm_coasting = true;
                 }
             }
-            if self.telemetry.enabled() {
-                self.telemetry.emit(
-                    0,
-                    Event::PersistRecovery {
-                        replayed_records: session.replayed() as u64,
-                        warm_start: warm_coasting,
-                        restored_models: fit_cache.len() as u64,
-                    },
-                );
-            }
+            let replayed_records = session.replayed() as u64;
+            let restored_models = fit_cache.len() as u64;
+            self.emit(0, || StateRecord::PersistRecovered {
+                replayed_records,
+                warm_start: warm_coasting,
+                restored_models,
+            });
         }
         // Did every health check in the *previous* segment pass? A failed
         // check means the cached model misjudged this regime, so the next
@@ -479,35 +476,18 @@ impl Controller {
         let mut chosen = self.baseline_config;
 
         while executed < self.cfg.total_insts {
-            let seg_index = segments.len() as u64;
-            let segment_idx = segments.len().to_string();
+            let segment = segments.len() as u64;
+            let segment_label = segment.to_string();
             let segment_span =
                 self.telemetry
-                    .span_with("segment", executed, &[("segment", &segment_idx)]);
-            persist_emit(
-                &mut persist,
-                StateRecord::SegmentStarted {
-                    segment: seg_index,
-                    executed,
-                },
-            );
-            // The first segment is the trivially-detected initial phase;
-            // later segments are announced by the detector at the moment
-            // it fires, inside the testing loop below.
-            if self.telemetry.enabled() && segments.is_empty() {
-                self.telemetry.emit(
-                    executed,
-                    Event::PhaseDetected {
-                        score: 0.0,
-                        phases_detected: 0,
-                        mean_workload: detector.mean_workload(),
-                    },
-                );
-            }
+                    .span_with("segment", executed, &[("segment", &segment_label)]);
+            self.emit(executed, || StateRecord::SegmentStarted {
+                segment,
+                executed,
+            });
 
             // --- Baseline measurement (normalization reference). ---
             let baseline_span = self.telemetry.span("baseline", executed);
-            let baseline_timer = self.telemetry.stage("baseline", executed);
             let mut baseline_stats = self.measure(
                 &mut sys,
                 source,
@@ -529,32 +509,19 @@ impl Controller {
             }
             executed += self.cfg.baseline_insts;
             last_baseline = baseline_stats.metrics();
-            self.telemetry.finish_stage(baseline_timer, executed);
             self.telemetry.close_span(baseline_span, executed);
             if self.telemetry.enabled() {
-                self.telemetry.emit(
-                    executed,
-                    Event::BaselineMeasured {
-                        config: self.baseline_config.to_string(),
-                        metrics: last_baseline,
-                        insts: baseline_stats.instructions,
-                        extended,
-                    },
-                );
                 for (name, v) in baseline_stats.mem_counter_snapshot() {
                     self.telemetry
                         .observe(&format!("mem.baseline.{name}"), v as f64);
                 }
             }
-            persist_emit(
-                &mut persist,
-                StateRecord::BaselineMeasured {
-                    segment: seg_index,
-                    metrics: last_baseline.into(),
-                    insts: baseline_stats.instructions,
-                    extended,
-                },
-            );
+            self.emit(executed, || StateRecord::BaselineMeasured {
+                segment,
+                metrics: last_baseline.into(),
+                insts: baseline_stats.instructions,
+                extended,
+            });
 
             // Size the fine-grained sampling unit from the phase's mean
             // memory workload (Section 5.2): dense phases use small units,
@@ -602,13 +569,10 @@ impl Controller {
             let mut accums = vec![MetricAccum::default(); self.samples.len()];
             let mut seg_sampling = MetricAccum::default();
             if warm_started {
-                if self.telemetry.enabled() {
-                    self.telemetry.incr("persist.sampling_skipped", 1);
-                }
+                self.telemetry.incr("persist.sampling_skipped", 1);
             } else {
                 let sampling_span = self.telemetry.span("sampling", executed);
-                let sampling_timer = self.telemetry.stage("sampling", executed);
-                for round in 0..rounds {
+                for round in 0..rounds as u64 {
                     let round_span = self.telemetry.span("sampling.round", executed);
                     for (i, cfg) in self.samples.clone().into_iter().enumerate() {
                         let stats = self.measure(&mut sys, source, cfg, unit_insts, executed);
@@ -618,20 +582,14 @@ impl Controller {
                         total_sampling.add(&stats);
                     }
                     self.telemetry.close_span(round_span, executed);
-                    if self.telemetry.enabled() {
-                        self.telemetry.incr("samples_taken", n_samples);
-                        self.telemetry.emit(
-                            executed,
-                            Event::SamplingRound {
-                                round: round as u64,
-                                total_rounds: rounds as u64,
-                                samples: n_samples,
-                                unit_insts,
-                            },
-                        );
-                    }
+                    self.emit(executed, || StateRecord::SamplingRound {
+                        segment,
+                        round,
+                        total_rounds: rounds as u64,
+                        samples: n_samples,
+                        unit_insts,
+                    });
                 }
-                self.telemetry.finish_stage(sampling_timer, executed);
                 self.telemetry.close_span(sampling_span, executed);
             }
             // With sampling skipped, an all-zero sample set would poison
@@ -676,9 +634,9 @@ impl Controller {
             let restored = if fit_elided {
                 None
             } else {
-                persist
+                self.persist
                     .as_ref()
-                    .and_then(|s| s.replayed_fit(seg_index))
+                    .and_then(|s| s.replayed_fit(segment))
                     .map(MetricsPredictor::from_state)
             };
             let predictions;
@@ -686,27 +644,14 @@ impl Controller {
                 // Same phase signature, clean health record: the cached
                 // predictor still describes this phase. Skip the fit
                 // span and the diagnostics refits entirely.
-                persist_emit(
-                    &mut persist,
-                    StateRecord::FitCompleted {
-                        segment: seg_index,
-                        elided: true,
-                        apki: apki.to_bits(),
-                        signature: phase_sig,
-                        model: None,
-                    },
-                );
-                if self.telemetry.enabled() {
-                    self.telemetry.incr("fit.elided", 1);
-                    self.telemetry.emit(
-                        executed,
-                        Event::FitElided {
-                            segment: segments.len() as u64,
-                            signature: phase_sig,
-                            learner: self.cfg.model.short_label().to_string(),
-                        },
-                    );
-                }
+                self.emit(executed, || StateRecord::FitCompleted {
+                    segment,
+                    elided: true,
+                    apki: apki.to_bits(),
+                    signature: phase_sig,
+                    model: None,
+                });
+                self.telemetry.incr("fit.elided", 1);
                 // mct-tidy: allow(P003) -- fit_elided implies a banked hit
                 let predictor = &fit_cache[cache_hit.expect("elision requires a cached fit")].1;
                 let predict_span = self.telemetry.span("predict", executed);
@@ -718,19 +663,16 @@ impl Controller {
                     decision_us += start.elapsed().as_secs_f64() * 1e6;
                 }
             } else {
-                let fit_timer = self.telemetry.stage("fit", executed);
                 // mct-tidy: allow(D002) -- telemetry-gated latency probe; never feeds results
                 let decision_start = self.telemetry.enabled().then(std::time::Instant::now);
-                let fit_span = self.telemetry.span_with(
-                    "fit",
-                    executed,
-                    &[("learner", self.cfg.model.short_label())],
-                );
+                let fit_span =
+                    self.telemetry
+                        .span_with("fit", executed, &[("learner", model.short_label())]);
                 let restored_hit = restored.is_some();
                 let predictor = if let Some(p) = restored {
                     p
                 } else {
-                    let mut p = MetricsPredictor::new(self.cfg.model);
+                    let mut p = MetricsPredictor::new(model);
                     p.fit_traced(
                         &sample_data,
                         Some(last_baseline),
@@ -743,19 +685,16 @@ impl Controller {
                 // controller's bank is its own, and sampling resumes its
                 // normal cadence.
                 warm_coasting = false;
-                if restored_hit && self.telemetry.enabled() {
+                if restored_hit {
                     self.telemetry.incr("persist.models_restored", 1);
                 }
-                persist_emit(
-                    &mut persist,
-                    StateRecord::FitCompleted {
-                        segment: seg_index,
-                        elided: false,
-                        apki: apki.to_bits(),
-                        signature: phase_sig,
-                        model: predictor.save_state(),
-                    },
-                );
+                self.emit(executed, || StateRecord::FitCompleted {
+                    segment,
+                    elided: false,
+                    apki: apki.to_bits(),
+                    signature: phase_sig,
+                    model: predictor.save_state(),
+                });
                 self.telemetry.close_span(fit_span, executed);
                 let predict_span = self.telemetry.span("predict", executed);
                 predictions = predictor.predict_all(&self.space);
@@ -763,32 +702,15 @@ impl Controller {
                 if let Some(start) = decision_start {
                     decision_us += start.elapsed().as_secs_f64() * 1e6;
                 }
-                self.telemetry.finish_stage(fit_timer, executed);
+                // Diagnostics-only work (k-fold refits, a lasso report)
+                // runs solely when a recorder is attached.
                 if self.telemetry.enabled() {
-                    // Diagnostics-only work (k-fold refits, a lasso report)
-                    // runs solely when a recorder is attached.
-                    self.telemetry.incr("predictor_refits", 1);
-                    let lasso_features = if matches!(
-                        self.cfg.model,
-                        ModelKind::LinearLasso | ModelKind::QuadraticLasso
-                    ) {
-                        let quadratic = self.cfg.model == ModelKind::QuadraticLasso;
-                        lasso_feature_report(&sample_data, 0, quadratic, 0.01)
-                            .into_iter()
-                            .filter(|(_, w)| w.abs() > 1e-6)
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    self.telemetry.emit(
-                        executed,
-                        Event::PredictorFitted {
-                            model: self.cfg.model.label().to_string(),
-                            n_samples: sample_data.len() as u64,
-                            cv_r2_ipc: predictor.cv_r2_ipc(&sample_data, 4),
-                            lasso_features,
-                        },
-                    );
+                    self.emit(executed, || StateRecord::FitDiagnosed {
+                        segment,
+                        n_samples: sample_data.len() as u64,
+                        cv_r2_ipc: predictor.cv_r2_ipc(&sample_data, 4),
+                        lasso_features: lasso_support(model, &sample_data),
+                    });
                 }
                 // Bank the fresh fit: refresh the slot covering this
                 // intensity if one exists, else evict the oldest entry.
@@ -803,7 +725,6 @@ impl Controller {
             }
 
             // --- Constrained optimization + wear-quota fixup. ---
-            let optimize_timer = self.telemetry.stage("optimize", executed);
             let decide_span = self.telemetry.span("decide", executed);
             // mct-tidy: allow(D002) -- telemetry-gated latency probe; never feeds results
             let decision_start = self.telemetry.enabled().then(std::time::Instant::now);
@@ -820,41 +741,15 @@ impl Controller {
                 self.telemetry.observe("decision.latency_us", decision_us);
                 self.telemetry.observe_with(
                     "decision.latency_us",
-                    &[("learner", self.cfg.model.short_label())],
+                    &[("learner", model.short_label())],
                     decision_us,
                 );
             }
             self.telemetry.close_span(decide_span, executed);
-            self.telemetry.finish_stage(optimize_timer, executed);
-            if self.telemetry.enabled() {
-                if opt.fell_back {
-                    self.telemetry.incr("optimizer_fallbacks", 1);
-                }
-                let floor = self.objective.lifetime_floor();
-                self.telemetry.emit(
-                    executed,
-                    Event::ConfigSelected {
-                        config: chosen.to_string(),
-                        config_before_fixup: opt
-                            .fixup_changed()
-                            .then(|| opt.config_before_fixup.to_string()),
-                        predicted: opt.predicted,
-                        lifetime_slack_years: opt.predicted.lifetime_years - floor.unwrap_or(0.0),
-                        quota_fixup_applied: self.cfg.quota_fixup && floor.is_some(),
-                        fell_back: opt.fell_back,
-                    },
-                );
+            if opt.fell_back {
+                self.telemetry.incr("optimizer_fallbacks", 1);
             }
-            persist_emit(
-                &mut persist,
-                StateRecord::DecisionMade {
-                    segment: seg_index,
-                    config: chosen,
-                    predicted: opt.predicted.into(),
-                    fell_back: opt.fell_back,
-                    refit: false,
-                },
-            );
+            self.emit(executed, || decision(segment, &opt, false));
 
             // --- Testing period with health checks & phase detection. ---
             // The measured region is finalized only at health-check and
@@ -868,12 +763,10 @@ impl Controller {
             sys.reset_stats();
             detector.reset();
             let testing_span = self.telemetry.span("testing", executed);
-            let testing_timer = self.telemetry.stage("testing", executed);
             let mut seg_testing = MetricAccum::default();
             let mut health_fallback = false;
             let mut seg_health_ok = true;
             let mut windows: u64 = 0;
-            let mut phase_change = false;
             while executed < self.cfg.total_insts {
                 let before = sys.perf_counters();
                 sys.run_window(source, self.cfg.phase.window_insts);
@@ -882,20 +775,13 @@ impl Controller {
                 windows += 1;
                 let workload = after.workload_since(&before) as f64;
                 if detector.observe(workload) {
-                    phase_change = true;
-                    if self.telemetry.enabled() {
-                        self.telemetry.incr("phase_changes", 1);
-                        self.telemetry.emit(
-                            executed,
-                            Event::PhaseDetected {
-                                score: detector.last_score(),
-                                phases_detected: detector.phases_detected(),
-                                mean_workload: workload * 1e3 / self.cfg.phase.window_insts as f64,
-                            },
-                        );
-                    }
-                }
-                if phase_change {
+                    let mean_workload = workload * 1e3 / self.cfg.phase.window_insts as f64;
+                    self.emit(executed, || StateRecord::PhaseDetected {
+                        segment,
+                        score: detector.last_score(),
+                        phases_detected: detector.phases_detected(),
+                        mean_workload,
+                    });
                     let stats = sys.finalize();
                     seg_testing.add(&stats);
                     total_testing.add(&stats);
@@ -942,27 +828,22 @@ impl Controller {
                     if failed {
                         seg_health_ok = false;
                     }
-                    persist_emit(
-                        &mut persist,
-                        StateRecord::HealthChecked {
-                            segment: seg_index,
-                            check: health_checks,
-                            passed: !failed,
-                            testing_ipc: testing_so_far.ipc.to_bits(),
-                            baseline_ipc: health_baseline.ipc.to_bits(),
-                        },
-                    );
+                    self.emit(executed, || StateRecord::HealthChecked {
+                        segment,
+                        check: health_checks,
+                        passed: !failed,
+                        testing_ipc: testing_so_far.ipc.to_bits(),
+                        baseline_ipc: health_baseline.ipc.to_bits(),
+                    });
                     let (action, transition) = ladder.observe(failed);
-                    if let Some(tr) = &transition {
-                        persist_emit(
-                            &mut persist,
-                            StateRecord::LadderMoved {
-                                segment: seg_index,
-                                from: tr.from,
-                                to: tr.to,
-                                failures: tr.failures,
-                            },
-                        );
+                    if let Some(tr) = transition {
+                        self.emit(executed, || StateRecord::LadderMoved {
+                            segment,
+                            from: tr.from,
+                            to: tr.to,
+                            failures: tr.failures,
+                            lifetime_years: testing_so_far.lifetime_years.to_bits(),
+                        });
                     }
                     let mut resample = false;
                     match action {
@@ -974,7 +855,7 @@ impl Controller {
                             // the model sees how the choice actually ran.
                             let refit_span = self.telemetry.span("refit", executed);
                             sample_data.push((chosen, testing_so_far));
-                            let mut refit = MetricsPredictor::new(self.cfg.model);
+                            let mut refit = MetricsPredictor::new(model);
                             refit.fit_traced(
                                 &sample_data,
                                 Some(last_baseline),
@@ -991,16 +872,7 @@ impl Controller {
                             );
                             chosen = opt.config;
                             self.telemetry.close_span(refit_span, executed);
-                            persist_emit(
-                                &mut persist,
-                                StateRecord::DecisionMade {
-                                    segment: seg_index,
-                                    config: chosen,
-                                    predicted: opt.predicted.into(),
-                                    fell_back: opt.fell_back,
-                                    refit: true,
-                                },
-                            );
+                            self.emit(executed, || decision(segment, &opt, true));
                             // The degraded refit mixed testing data into
                             // the sample set; it is not a clean phase fit
                             // and must never be reused by elision.
@@ -1012,36 +884,7 @@ impl Controller {
                             chosen = self.baseline_config;
                             fit_cache.clear();
                             warm_coasting = false;
-                        }
-                    }
-                    if self.telemetry.enabled() {
-                        self.telemetry.incr("health_checks", 1);
-                        if health_fallback {
                             self.telemetry.incr("health_fallbacks", 1);
-                        }
-                        self.telemetry.emit(
-                            executed,
-                            Event::HealthCheck {
-                                testing_ipc: testing_so_far.ipc,
-                                baseline_ipc: health_baseline.ipc,
-                                passed: !failed,
-                                fallback_taken: health_fallback,
-                            },
-                        );
-                        if let Some(tr) = transition {
-                            self.telemetry.incr("degradation_transitions", 1);
-                            self.telemetry.emit(
-                                executed,
-                                Event::DegradationTransition {
-                                    from: tr.from.label().to_string(),
-                                    to: tr.to.label().to_string(),
-                                    failures: tr.failures,
-                                    testing_ipc: testing_so_far.ipc,
-                                    baseline_ipc: health_baseline.ipc,
-                                    // Clamp: JSON has no Infinity literal.
-                                    lifetime_years: testing_so_far.lifetime_years.min(1e9),
-                                },
-                            );
                         }
                     }
                     self.telemetry.close_span(health_span, executed);
@@ -1072,57 +915,33 @@ impl Controller {
                 snap
             };
             last_segment_healthy = seg_health_ok;
-            self.telemetry.finish_stage(testing_timer, executed);
             self.telemetry.close_span(testing_span, executed);
-            if self.telemetry.enabled() {
-                let realized = if seg_testing.is_empty() {
-                    seg_sampling.metrics(wear_budget)
-                } else {
-                    seg_testing.metrics(wear_budget)
-                };
-                self.telemetry.emit(
-                    executed,
-                    Event::SegmentCompleted {
-                        segment: segments.len() as u64,
-                        config: chosen.to_string(),
-                        predicted: (!opt.fell_back).then_some(opt.predicted),
-                        realized,
-                        insts: seg_sampling.insts + seg_testing.insts,
-                    },
-                );
-            }
 
             let seg_testing_metrics = if seg_testing.is_empty() {
                 seg_sampling.metrics(wear_budget)
             } else {
                 seg_testing.metrics(wear_budget)
             };
-            persist_emit(
-                &mut persist,
-                StateRecord::WearDelta {
-                    segment: seg_index,
-                    sampling_wear: seg_sampling.wear_units.to_bits(),
-                    testing_wear: seg_testing.wear_units.to_bits(),
-                    meter: seg_wear_meter,
-                },
-            );
-            persist_emit(
-                &mut persist,
-                StateRecord::SegmentCompleted {
-                    segment: seg_index,
-                    chosen,
-                    health_fallback,
-                    fit_elided,
-                    warm_started,
-                    sampling_insts: seg_sampling.insts,
-                    testing_insts: seg_testing.insts,
-                    testing: seg_testing_metrics.into(),
-                },
-            );
+            self.emit(executed, || StateRecord::WearDelta {
+                segment,
+                sampling_wear: seg_sampling.wear_units.to_bits(),
+                testing_wear: seg_testing.wear_units.to_bits(),
+                meter: seg_wear_meter,
+            });
+            self.emit(executed, || StateRecord::SegmentCompleted {
+                segment,
+                chosen,
+                health_fallback,
+                fit_elided,
+                warm_started,
+                sampling_insts: seg_sampling.insts,
+                testing_insts: seg_testing.insts,
+                testing: seg_testing_metrics.into(),
+            });
             // Segment boundaries compact the log into a snapshot (a
             // no-op while recovery is still verifying the prefix, and
             // after an injected crash).
-            if let Some(session) = persist.as_mut() {
+            if let Some(session) = self.persist.as_mut() {
                 let snap_span = self.telemetry.span("persist.snapshot", executed);
                 session
                     .checkpoint()
@@ -1150,16 +969,13 @@ impl Controller {
         } else {
             total_testing.metrics(wear_budget)
         };
-        persist_emit(
-            &mut persist,
-            StateRecord::RunCompleted {
-                executed,
-                chosen,
-                segments: segments.len() as u64,
-                final_metrics: final_metrics.into(),
-            },
-        );
-        if let Some(session) = persist.as_mut() {
+        self.emit(executed, || StateRecord::RunCompleted {
+            executed,
+            chosen,
+            segments: segments.len() as u64,
+            final_metrics: final_metrics.into(),
+        });
+        if let Some(mut session) = self.persist.take() {
             // The final snapshot compacts a clean run to one snapshot
             // whose log ends in `run_completed` — the warm-start source
             // for the next `--resume`.
@@ -1167,29 +983,12 @@ impl Controller {
                 .checkpoint()
                 // mct-tidy: allow(P003) -- documented `# Panics` contract: a failing store must not be ignored
                 .expect("persist: final snapshot failed");
-            if self.telemetry.enabled() {
-                self.telemetry.incr("persist.appends", session.appends());
-                self.telemetry
-                    .incr("persist.snapshots", session.snapshots());
-            }
+            self.telemetry.incr("persist.appends", session.appends());
+            self.telemetry
+                .incr("persist.snapshots", session.snapshots());
         }
-        if self.telemetry.enabled() {
-            let fallbacks = segments
-                .iter()
-                .filter(|s| s.health_fallback || s.optimization.fell_back)
-                .count() as u64;
-            self.telemetry.emit(
-                executed,
-                Event::RunCompleted {
-                    segments: segments.len() as u64,
-                    total_insts: executed,
-                    fallbacks,
-                    metrics: final_metrics,
-                },
-            );
-            self.telemetry.close_span(run_span, executed);
-            self.telemetry.finish(executed);
-        }
+        self.telemetry.close_span(run_span, executed);
+        self.telemetry.finish(executed);
         Outcome {
             chosen_config: chosen,
             final_metrics,
@@ -1199,6 +998,38 @@ impl Controller {
             segments,
             sampling_insts: total_sampling.insts,
             testing_insts: total_testing.insts,
+        }
+    }
+
+    /// Emit one state transition — the single path every controller
+    /// state change takes. `build` runs only when someone listens: a
+    /// recorder receives every transition (fitted-model payloads pruned),
+    /// and the state store logs the [durable](StateRecord::durable) ones
+    /// — appended, or verified against the log while recovery replays it.
+    /// With neither attached this is one branch.
+    ///
+    /// # Panics
+    /// Panics on store failure or on divergence between re-execution and
+    /// a recovered log: the crash-recovery contract is bit-identical
+    /// re-execution, so a mismatch is a bug that must surface immediately
+    /// — continuing would persist split-brain state.
+    fn emit(&mut self, sim_insts: u64, build: impl FnOnce() -> StateRecord) {
+        if !self.telemetry.enabled() && self.persist.is_none() {
+            return;
+        }
+        let record = build();
+        if self.telemetry.enabled() {
+            self.telemetry.transition(
+                sim_insts,
+                record.kind(),
+                record.pruned().serialize_content(),
+            );
+        }
+        if let Some(session) = self.persist.as_mut().filter(|_| record.durable()) {
+            session
+                .emit(record)
+                // mct-tidy: allow(P003) -- documented `# Panics` contract: divergence must fail loudly, never persist split-brain state
+                .expect("persist: state record rejected");
         }
     }
 
@@ -1255,20 +1086,29 @@ impl Controller {
     }
 }
 
-/// Append (or, during recovery, verify) one state record. A no-op when
-/// persistence is off — `None` costs one branch on the hot path.
-///
-/// # Panics
-/// Panics on store failure or on divergence between re-execution and a
-/// recovered log: the crash-recovery contract is bit-identical
-/// re-execution, so a mismatch is a bug that must surface immediately —
-/// continuing would persist split-brain state.
-fn persist_emit(session: &mut Option<PersistSession>, record: StateRecord) {
-    if let Some(s) = session.as_mut() {
-        s.emit(record)
-            // mct-tidy: allow(P003) -- documented `# Panics` contract: divergence must fail loudly, never persist split-brain state
-            .expect("persist: state record rejected");
+/// The durable record of an optimizer decision: the segment's primary
+/// choice, or (`refit`) an in-place re-decision forced by the ladder.
+fn decision(segment: u64, opt: &OptimizationResult, refit: bool) -> StateRecord {
+    StateRecord::DecisionMade {
+        segment,
+        config: opt.config,
+        predicted: opt.predicted.into(),
+        fell_back: opt.fell_back,
+        refit,
+        before_fixup: opt.fixup_changed().then_some(opt.config_before_fixup),
     }
+}
+
+/// The lasso support a fit diagnosis reports: nonzero weights of a lasso
+/// refit on the samples, empty for other learners.
+fn lasso_support(model: ModelKind, sample_data: &[(NvmConfig, Metrics)]) -> Vec<(String, f64)> {
+    if !matches!(model, ModelKind::LinearLasso | ModelKind::QuadraticLasso) {
+        return Vec::new();
+    }
+    lasso_feature_report(sample_data, 0, model == ModelKind::QuadraticLasso, 0.01)
+        .into_iter()
+        .filter(|(_, w)| w.abs() > 1e-6)
+        .collect()
 }
 
 #[cfg(test)]

@@ -22,8 +22,8 @@
 //! earlier rung, so a controller that reverted stays reverted (the same
 //! stickiness the paper's fallback has). Passing checks simply leave the
 //! ladder where it is. Every escalation is reported so the controller can
-//! emit a `degradation_transition` telemetry event and `mct report` can
-//! render the timeline.
+//! emit a `LadderMoved` transition, which the state store logs and
+//! `mct report` renders.
 
 use serde::{Deserialize, Serialize};
 

@@ -22,7 +22,9 @@
 //!    predictions and applies the wear-quota fixup;
 //! 6. [`controller::Controller`] ties it together on a live simulated
 //!    system, with baseline normalization, periodic health checks and
-//!    baseline fallback.
+//!    baseline fallback, emitting one [`persist::StateRecord`] stream
+//!    that the write-ahead log persists, telemetry traces and
+//!    [`timeline`] renders.
 //!
 //! ```
 //! use mct_core::{Controller, ControllerConfig, Objective};
@@ -52,12 +54,16 @@ pub mod phase;
 pub mod predictor;
 pub mod sampling;
 pub mod space;
+pub mod timeline;
 
 pub use config::NvmConfig;
 pub use controller::{Controller, ControllerConfig, Outcome};
 pub use degrade::{DegradationAction, DegradationLadder, DegradationStage};
 pub use error::MctError;
 pub use extensions::{extended_space, ExtendedNvmConfig};
+/// The one FNV-1a hash of the workspace (WAL checksums, config digests,
+/// grain-cache keys).
+pub use mct_persist::fnv1a64;
 pub use objective::{Constraint, Metric, Objective, OptimizeTarget};
 pub use optimizer::{optimize, OptimizationResult};
 pub use persist::{
@@ -68,3 +74,4 @@ pub use phase::{phase_signature, PhaseDetector, PhaseDetectorConfig};
 pub use predictor::{MetricsPredictor, ModelKind};
 pub use sampling::{feature_based_samples, random_samples};
 pub use space::ConfigSpace;
+pub use timeline::{render_timeline, trace_transitions};

@@ -1,11 +1,12 @@
 //! Crash-safe controller state on top of [`mct_persist`].
 //!
 //! This module layers the *typed* controller schema over the raw
-//! checksummed container in `mct-persist`: every decision-relevant state
-//! transition the controller makes — wear accounting, fitted model
-//! coefficients, phase history, refit-elision bank refreshes, degradation
-//! ladder moves — becomes a [`StateRecord`] appended to the write-ahead
-//! log, and every segment boundary compacts the log into a snapshot.
+//! checksummed container in `mct-persist`. [`StateRecord`] is the one
+//! vocabulary the controller emits: every transition goes to telemetry,
+//! and every [`durable`](StateRecord::durable) one — wear accounting,
+//! fitted model coefficients, refit-elision bank refreshes, degradation
+//! ladder moves — is appended to the write-ahead log. Every segment
+//! boundary compacts the log into a snapshot.
 //!
 //! ## The recovery contract
 //!
@@ -40,6 +41,7 @@
 //! controller's elision-bank depth), so [`records_match`] treats a pruned
 //! persisted fit as equal to a full re-emitted one.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
 
@@ -59,7 +61,10 @@ use crate::predictor::ModelKind;
 /// ([`mct_persist::FORMAT_VERSION`] guards the byte layout; this guards
 /// the JSON record vocabulary). Stamped into every
 /// [`StateRecord::RunStarted`] and snapshot body and checked on resume.
-pub const STATE_SCHEMA_VERSION: u32 = 1;
+///
+/// v2 added the pre-fixup configuration to [`StateRecord::DecisionMade`]
+/// and the lifetime reading to [`StateRecord::LadderMoved`].
+pub const STATE_SCHEMA_VERSION: u32 = 2;
 
 /// How many trailing fresh-fit records keep their full model payload in
 /// a snapshot body. Matches the controller's refit-elision bank depth:
@@ -118,11 +123,13 @@ pub struct PredictorState {
     pub models: Vec<SavedRegressor>,
 }
 
-/// One controller state transition in the write-ahead log.
+/// One controller state transition.
 ///
-/// Record order within a run is fully determined by `(config, seed,
-/// workload)` — that determinism is what lets recovery verify a replayed
-/// prefix against re-execution record by record.
+/// Telemetry carries every variant; the write-ahead log carries the
+/// [`durable`](StateRecord::durable) ones. Durable record order within a
+/// run is fully determined by `(config, seed, workload)` — that
+/// determinism is what lets recovery verify a replayed prefix against
+/// re-execution record by record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum StateRecord {
     /// First record of every run: identity of the run the log belongs to.
@@ -186,6 +193,9 @@ pub enum StateRecord {
         /// False for the segment's primary decision; true for an
         /// in-place re-decision forced by the degradation ladder.
         refit: bool,
+        /// The optimizer's pick before the wear-quota fixup rewrote it;
+        /// `None` when the fixup left it unchanged.
+        before_fixup: Option<NvmConfig>,
     },
     /// A periodic testing-period health check ran.
     HealthChecked {
@@ -210,6 +220,9 @@ pub enum StateRecord {
         to: DegradationStage,
         /// Total failed checks observed by the ladder so far.
         failures: u64,
+        /// Testing-period lifetime reading (years, bits; may encode
+        /// `+inf`) at the failed check.
+        lifetime_years: u64,
     },
     /// Wear accounting at segment end: period deltas plus the live
     /// meter counters.
@@ -253,6 +266,53 @@ pub enum StateRecord {
         /// Aggregate testing metrics.
         final_metrics: BitMetrics,
     },
+    /// Trace-only: crash-safe persistence opened its store — a fresh
+    /// log, a verified replay of an interrupted one, or a warm start.
+    PersistRecovered {
+        /// Records recovered from the prior log (0 for a fresh store).
+        replayed_records: u64,
+        /// Whether a clean prior log armed the warm-start bank.
+        warm_start: bool,
+        /// Fitted models restored into the refit-elision bank.
+        restored_models: u64,
+    },
+    /// Trace-only: the phase detector fired during a testing period.
+    PhaseDetected {
+        /// Segment the change ends.
+        segment: u64,
+        /// Welch t-score that crossed the detector threshold.
+        score: f64,
+        /// Phases detected so far in this run.
+        phases_detected: u64,
+        /// Workload (accesses/kinst) of the window that fired.
+        mean_workload: f64,
+    },
+    /// Trace-only: one cyclic fine-grained sampling round completed.
+    SamplingRound {
+        /// Segment index.
+        segment: u64,
+        /// Round index (0-based).
+        round: u64,
+        /// Rounds planned for the segment.
+        total_rounds: u64,
+        /// Sample configurations visited per round.
+        samples: u64,
+        /// Instructions each sample configuration ran for.
+        unit_insts: u64,
+    },
+    /// Trace-only: diagnostics of a fresh fit, computed only when a
+    /// recorder is attached.
+    FitDiagnosed {
+        /// Segment index.
+        segment: u64,
+        /// Sample points in the fit.
+        n_samples: u64,
+        /// Cross-validated R^2 of the IPC model, when computable.
+        cv_r2_ipc: Option<f64>,
+        /// Nonzero lasso-selected features (name, weight); empty for
+        /// non-lasso learners.
+        lasso_features: Vec<(String, f64)>,
+    },
 }
 
 impl StateRecord {
@@ -270,6 +330,46 @@ impl StateRecord {
             StateRecord::WearDelta { .. } => "wear_delta",
             StateRecord::SegmentCompleted { .. } => "segment_completed",
             StateRecord::RunCompleted { .. } => "run_completed",
+            StateRecord::PersistRecovered { .. } => "persist_recovered",
+            StateRecord::PhaseDetected { .. } => "phase_detected",
+            StateRecord::SamplingRound { .. } => "sampling_round",
+            StateRecord::FitDiagnosed { .. } => "fit_diagnosed",
+        }
+    }
+
+    /// Whether the write-ahead log carries this record. Trace-only
+    /// records describe the run without steering it: recovery never
+    /// needs them.
+    #[must_use]
+    pub fn durable(&self) -> bool {
+        !matches!(
+            self,
+            StateRecord::PersistRecovered { .. }
+                | StateRecord::PhaseDetected { .. }
+                | StateRecord::SamplingRound { .. }
+                | StateRecord::FitDiagnosed { .. }
+        )
+    }
+
+    /// This record with any fitted-model payload stripped: how snapshots
+    /// keep old fits and how traces carry every fit.
+    #[must_use]
+    pub fn pruned(&self) -> Cow<'_, StateRecord> {
+        match self {
+            StateRecord::FitCompleted {
+                segment,
+                elided,
+                apki,
+                signature,
+                model: Some(_),
+            } => Cow::Owned(StateRecord::FitCompleted {
+                segment: *segment,
+                elided: *elided,
+                apki: *apki,
+                signature: *signature,
+                model: None,
+            }),
+            other => Cow::Borrowed(other),
         }
     }
 }
@@ -349,19 +449,8 @@ pub fn records_match(persisted: &StateRecord, emitted: &StateRecord) -> bool {
     if persisted == emitted {
         return true;
     }
-    match (persisted, emitted) {
-        (
-            StateRecord::FitCompleted { model: None, .. },
-            StateRecord::FitCompleted { model: Some(_), .. },
-        ) => {
-            let mut stripped = emitted.clone();
-            if let StateRecord::FitCompleted { model, .. } = &mut stripped {
-                *model = None;
-            }
-            *persisted == stripped
-        }
-        _ => false,
-    }
+    matches!(persisted, StateRecord::FitCompleted { model: None, .. })
+        && *persisted == *emitted.pruned()
 }
 
 /// Why a store could not be recovered or verified.
@@ -526,9 +615,7 @@ fn prune_models(records: &[StateRecord]) -> Vec<StateRecord> {
         .collect();
     let strip = carriers.len().saturating_sub(SNAPSHOT_MODEL_SLOTS);
     for &i in &carriers[..strip] {
-        if let StateRecord::FitCompleted { model, .. } = &mut out[i] {
-            *model = None;
-        }
+        out[i] = out[i].pruned().into_owned();
     }
     out
 }
@@ -563,7 +650,8 @@ impl PersistSession {
     /// `run_started` is the record the starting run is about to emit; on
     /// resume it is checked against the log's own `run_started` before
     /// any verification begins, so a config/seed mismatch fails with a
-    /// specific error instead of a generic divergence.
+    /// specific error instead of a generic divergence. The session does
+    /// not log it: the caller's first [`PersistSession::emit`] does.
     ///
     /// # Errors
     /// Any [`RecoverError`]: container-level failure, unparseable or
@@ -575,73 +663,56 @@ impl PersistSession {
         let dir = Path::new(&cfg.dir);
         if !cfg.resume {
             let store = StateStore::create(dir)?;
-            return PersistSession::fresh(store, cfg.crash_point, run_started);
-        }
-        let (mut store, replay) = StateStore::open(dir)?;
-        let prefix = decode_replay(&replay)?;
-        if prefix.is_empty() {
-            // Nothing recorded yet: resuming an empty store is a fresh run.
-            store.set_crash_point(cfg.crash_point);
-            let mut session = PersistSession {
+            return Ok(PersistSession::new(
                 store,
-                prefix: Vec::new(),
-                cursor: 0,
-                mirror: Vec::new(),
-                warm: Vec::new(),
-                replayed: 0,
-                torn: replay.torn,
-                snapshots: 0,
-            };
-            session.emit(run_started.clone())?;
-            return Ok(session);
+                cfg.crash_point,
+                Vec::new(),
+                None,
+            ));
         }
-        check_run_identity(&prefix[0], run_started)?;
+        let (store, replay) = StateStore::open(dir)?;
+        let prefix = decode_replay(&replay)?;
+        if let Some(first) = prefix.first() {
+            check_run_identity(first, run_started)?;
+        }
         if matches!(prefix.last(), Some(StateRecord::RunCompleted { .. })) {
             // Clean completion: harvest the warm bank, then start a
             // fresh log for the new run.
             let warm = harvest_warm(&prefix);
             drop(store);
             let store = StateStore::create(dir)?;
-            let mut session = PersistSession::fresh(store, cfg.crash_point, run_started)?;
+            let mut session = PersistSession::new(store, cfg.crash_point, Vec::new(), None);
             session.warm = warm;
             return Ok(session);
         }
-        // Interrupted run: the recovered records become the verification
-        // prefix; `emit` compares instead of appending until it is spent.
-        store.set_crash_point(cfg.crash_point);
-        let replayed = prefix.len();
-        let mut session = PersistSession {
+        // Interrupted run (or an empty log): the recovered records become
+        // the verification prefix; `emit` compares instead of appending
+        // until it is spent.
+        Ok(PersistSession::new(
             store,
+            cfg.crash_point,
+            prefix,
+            replay.torn,
+        ))
+    }
+
+    fn new(
+        mut store: StateStore,
+        crash: CrashPoint,
+        prefix: Vec<StateRecord>,
+        torn: Option<TornTail>,
+    ) -> PersistSession {
+        store.set_crash_point(crash);
+        PersistSession {
+            store,
+            replayed: prefix.len(),
             prefix,
             cursor: 0,
             mirror: Vec::new(),
             warm: Vec::new(),
-            replayed,
-            torn: replay.torn,
+            torn,
             snapshots: 0,
-        };
-        session.emit(run_started.clone())?;
-        Ok(session)
-    }
-
-    fn fresh(
-        mut store: StateStore,
-        crash: CrashPoint,
-        run_started: &StateRecord,
-    ) -> Result<PersistSession, RecoverError> {
-        store.set_crash_point(crash);
-        let mut session = PersistSession {
-            store,
-            prefix: Vec::new(),
-            cursor: 0,
-            mirror: Vec::new(),
-            warm: Vec::new(),
-            replayed: 0,
-            torn: None,
-            snapshots: 0,
-        };
-        session.emit(run_started.clone())?;
-        Ok(session)
+        }
     }
 
     /// Record one state transition: verified against the recovered
@@ -715,12 +786,6 @@ impl PersistSession {
     /// [`StateRecord::RunCompleted`].
     pub fn take_warm_bank(&mut self) -> Vec<(u64, PredictorState)> {
         std::mem::take(&mut self.warm)
-    }
-
-    /// Whether a warm-start bank is (still) loaded.
-    #[must_use]
-    pub fn warm_available(&self) -> bool {
-        !self.warm.is_empty()
     }
 
     /// Records recovered from disk when the session opened.
@@ -894,7 +959,7 @@ impl RecoveryReport {
                     report.executed = report.executed.max(*executed);
                     report.last_chosen = Some(*chosen);
                 }
-                StateRecord::BaselineMeasured { .. } | StateRecord::WearDelta { .. } => {}
+                _ => {}
             }
         }
         Ok(report)
@@ -969,6 +1034,13 @@ mod tests {
         }
     }
 
+    /// Open a session and log its `run_started`, as the controller does.
+    fn begin(cfg: &PersistConfig) -> PersistSession {
+        let mut s = PersistSession::begin(cfg, &run_started()).expect("begin");
+        s.emit(run_started()).expect("run_started");
+        s
+    }
+
     fn fit(segment: u64, with_model: bool) -> StateRecord {
         StateRecord::FitCompleted {
             segment,
@@ -987,7 +1059,7 @@ mod tests {
     fn fresh_session_appends_and_checkpoints() {
         let dir = TempDir::new("core-persist-fresh");
         let cfg = PersistConfig::fresh(dir.path().display().to_string());
-        let mut s = PersistSession::begin(&cfg, &run_started()).expect("begin");
+        let mut s = begin(&cfg);
         s.emit(StateRecord::SegmentStarted {
             segment: 0,
             executed: 0,
@@ -1003,7 +1075,7 @@ mod tests {
         let dir = TempDir::new("core-persist-diverge");
         let path = dir.path().display().to_string();
         let cfg = PersistConfig::fresh(path.clone());
-        let mut s = PersistSession::begin(&cfg, &run_started()).expect("begin");
+        let mut s = begin(&cfg);
         s.emit(StateRecord::SegmentStarted {
             segment: 0,
             executed: 0,
@@ -1012,7 +1084,7 @@ mod tests {
         drop(s);
 
         let cfg = PersistConfig::resume_from(path);
-        let mut s = PersistSession::begin(&cfg, &run_started()).expect("resume");
+        let mut s = begin(&cfg);
         assert_eq!(s.replayed(), 2);
         assert_eq!(s.unverified(), 1, "run_started already verified");
         // A diverging record must fail loudly.
@@ -1030,7 +1102,7 @@ mod tests {
         let dir = TempDir::new("core-persist-mismatch");
         let path = dir.path().display().to_string();
         let cfg = PersistConfig::fresh(path.clone());
-        drop(PersistSession::begin(&cfg, &run_started()).expect("begin"));
+        drop(begin(&cfg));
 
         let other = StateRecord::RunStarted {
             schema: STATE_SCHEMA_VERSION,
@@ -1049,14 +1121,14 @@ mod tests {
         let dir = TempDir::new("core-persist-warm");
         let path = dir.path().display().to_string();
         let cfg = PersistConfig::fresh(path.clone());
-        let mut s = PersistSession::begin(&cfg, &run_started()).expect("begin");
+        let mut s = begin(&cfg);
         s.emit(fit(0, true)).expect("emit");
         drop(s);
 
         // Interrupted log: no warm bank, prefix instead.
         let cfg = PersistConfig::resume_from(path.clone());
-        let mut s = PersistSession::begin(&cfg, &run_started()).expect("resume");
-        assert!(!s.warm_available());
+        let mut s = begin(&cfg);
+        assert!(s.take_warm_bank().is_empty());
         assert_eq!(s.unverified(), 1);
         s.emit(fit(0, true)).expect("verify fit");
         s.emit(StateRecord::RunCompleted {
@@ -1075,8 +1147,7 @@ mod tests {
 
         // Clean log: warm bank available, fresh log started.
         let cfg = PersistConfig::resume_from(path);
-        let mut s = PersistSession::begin(&cfg, &run_started()).expect("warm resume");
-        assert!(s.warm_available());
+        let mut s = begin(&cfg);
         let bank = s.take_warm_bank();
         assert_eq!(bank.len(), 1);
         assert_eq!(bank[0].0, 7.5f64.to_bits());
@@ -1093,6 +1164,7 @@ mod tests {
                 from: DegradationStage::Resample,
                 to: DegradationStage::Refit,
                 failures: 2,
+                lifetime_years: 9.0f64.to_bits(),
             },
             fit(2, true),
         ];
@@ -1157,7 +1229,7 @@ mod tests {
     fn recovery_report_summarizes_a_store() {
         let dir = TempDir::new("core-persist-report");
         let cfg = PersistConfig::fresh(dir.path().display().to_string());
-        let mut s = PersistSession::begin(&cfg, &run_started()).expect("begin");
+        let mut s = begin(&cfg);
         s.emit(fit(0, true)).expect("emit");
         s.emit(StateRecord::HealthChecked {
             segment: 0,
@@ -1172,6 +1244,7 @@ mod tests {
             from: DegradationStage::Normal,
             to: DegradationStage::Resample,
             failures: 1,
+            lifetime_years: f64::INFINITY.to_bits(),
         })
         .expect("emit");
         drop(s);

@@ -163,16 +163,6 @@ impl PhaseDetector {
         self.last_score
     }
 
-    /// Mean workload over the retained history (guides sampling-unit
-    /// selection, Section 5.2).
-    #[must_use]
-    pub fn mean_workload(&self) -> f64 {
-        if self.history.is_empty() {
-            return 0.0;
-        }
-        self.history.iter().sum::<f64>() / self.history.len() as f64
-    }
-
     /// Drop all history (e.g. after an external reconfiguration).
     pub fn reset(&mut self) {
         self.history.clear();
@@ -275,17 +265,6 @@ mod tests {
             assert!(!d.observe(5.0));
             assert_eq!(d.last_score(), 0.0);
         }
-    }
-
-    #[test]
-    fn mean_workload_tracks_history() {
-        let mut d = detector();
-        for _ in 0..50 {
-            d.observe(80.0);
-        }
-        assert!((d.mean_workload() - 80.0).abs() < 1e-9);
-        d.reset();
-        assert_eq!(d.mean_workload(), 0.0);
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Integration: a controller run against an in-memory recorder produces a
 //! well-ordered decision trace with finite predictions.
 
-use mct_core::{Controller, ControllerConfig, ModelKind, Objective};
+use std::collections::BTreeMap;
+
+use mct_core::{
+    trace_transitions, Controller, ControllerConfig, ModelKind, Objective, StateRecord,
+};
 use mct_telemetry::{Event, Record, RecorderHandle, VecRecorder};
 use mct_workloads::Workload;
 
@@ -17,6 +21,13 @@ fn traced_run(model: ModelKind) -> Vec<Record> {
     guard.take_records()
 }
 
+fn transitions(records: &[Record]) -> Vec<StateRecord> {
+    let mut unknown = BTreeMap::new();
+    let out = trace_transitions(records, &mut unknown);
+    assert!(unknown.is_empty(), "undecodable transitions {unknown:?}");
+    out
+}
+
 #[test]
 fn trace_is_well_ordered_and_finite() {
     let records = traced_run(ModelKind::QuadraticLasso);
@@ -29,24 +40,16 @@ fn trace_is_well_ordered_and_finite() {
         assert!(pair[1].wall_us >= pair[0].wall_us);
     }
 
-    let kinds: Vec<&'static str> = records.iter().map(|r| r.event.kind()).collect();
-    let first = |k: &str| {
-        kinds
-            .iter()
-            .position(|x| *x == k)
-            .unwrap_or_else(|| panic!("missing event {k} in {kinds:?}"))
-    };
-
     // The run opens with the root `run` span (first record of the trace,
-    // so `mct profile` coverage spans the whole run), then the initial
-    // phase and its baseline measurement; it closes with the completion
-    // event, the root span close, and the registry snapshot.
-    assert_eq!(kinds.first(), Some(&"span_open"));
-    assert!(first("span_open") < first("phase_detected"));
-    assert!(first("phase_detected") < first("baseline_measured"));
-    assert_eq!(kinds[kinds.len() - 3], "run_completed");
-    assert_eq!(kinds[kinds.len() - 2], "span_close");
-    assert_eq!(kinds[kinds.len() - 1], "metrics_registry");
+    // so `mct profile` coverage spans the whole run) and closes with the
+    // completion transition, the root span close, and the registry
+    // snapshot.
+    let events: Vec<&'static str> = records.iter().map(|r| r.event.kind()).collect();
+    assert_eq!(events.first(), Some(&"span_open"));
+    assert_eq!(
+        &events[events.len() - 3..],
+        ["transition", "span_close", "metrics_registry"]
+    );
 
     // Spans are balanced: every open is closed by end of run, and the
     // control loop's key phases all appear as named spans.
@@ -88,54 +91,65 @@ fn trace_is_well_ordered_and_finite() {
         );
     }
 
-    // Pipeline stages appear in causal order:
-    // baseline -> sampling -> fit -> select -> health checks -> done.
+    // Transitions follow the paper's stages in causal order:
+    // run -> baseline -> sampling -> fit -> decide -> health checks -> done.
+    let transitions = transitions(&records);
+    let kinds: Vec<&'static str> = transitions.iter().map(StateRecord::kind).collect();
+    let first = |k: &str| {
+        kinds
+            .iter()
+            .position(|x| *x == k)
+            .unwrap_or_else(|| panic!("missing transition {k} in {kinds:?}"))
+    };
+    assert_eq!(kinds.first(), Some(&"run_started"));
+    assert_eq!(kinds.last(), Some(&"run_completed"));
+    assert!(first("segment_started") < first("baseline_measured"));
     assert!(first("baseline_measured") < first("sampling_round"));
-    assert!(first("sampling_round") < first("predictor_fitted"));
-    assert!(first("predictor_fitted") < first("config_selected"));
-    assert!(first("config_selected") < first("run_completed"));
+    assert!(first("sampling_round") < first("fit_completed"));
+    assert!(first("fit_completed") < first("fit_diagnosed"));
+    assert!(first("fit_diagnosed") < first("decision_made"));
     for (i, k) in kinds.iter().enumerate() {
-        if *k == "health_check" {
+        if *k == "health_checked" {
             assert!(
-                i > first("config_selected"),
-                "health check before any selection"
+                i > first("decision_made"),
+                "health check before any decision"
             );
         }
     }
     // A stable workload on the quick-demo budget leaves room for at
     // least one periodic health check.
     assert!(
-        kinds.contains(&"health_check"),
+        kinds.contains(&"health_checked"),
         "no health check in {kinds:?}"
     );
     assert!(kinds.contains(&"segment_completed"));
 
-    // Every selection carries finite predicted metrics and slack (a
-    // fallback's zero sentinel is still finite).
-    let mut selections = 0;
-    for r in &records {
-        if let Event::ConfigSelected {
-            predicted,
-            lifetime_slack_years,
-            config,
-            ..
-        } = &r.event
-        {
-            selections += 1;
-            assert!(predicted.ipc.is_finite());
-            assert!(predicted.lifetime_years.is_finite());
-            assert!(predicted.energy_j.is_finite());
-            assert!(lifetime_slack_years.is_finite());
-            assert!(!config.is_empty());
+    // Every decision carries finite predicted metrics (a fallback's zero
+    // sentinel is still finite), and traces never carry model payloads.
+    let mut decisions = 0;
+    for t in &transitions {
+        match t {
+            StateRecord::DecisionMade { predicted, .. } => {
+                decisions += 1;
+                let p = predicted.to_metrics();
+                assert!(p.ipc.is_finite());
+                assert!(p.lifetime_years.is_finite());
+                assert!(p.energy_j.is_finite());
+            }
+            StateRecord::FitCompleted { model, .. } => assert!(model.is_none()),
+            _ => {}
         }
     }
-    assert!(selections >= 1);
+    assert!(decisions >= 1);
 }
 
 #[test]
 fn registry_snapshot_accounts_for_the_trace() {
     let records = traced_run(ModelKind::QuadraticLasso);
-    let kinds: Vec<&'static str> = records.iter().map(|r| r.event.kind()).collect();
+    let kinds: Vec<&'static str> = transitions(&records)
+        .iter()
+        .map(StateRecord::kind)
+        .collect();
     let snapshot = match &records.last().expect("nonempty").event {
         Event::MetricsRegistry { snapshot } => snapshot,
         other => panic!("last event must be the registry snapshot, got {other:?}"),
@@ -145,32 +159,25 @@ fn registry_snapshot_accounts_for_the_trace() {
             .counters
             .iter()
             .find(|(n, _)| n.as_str() == name)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("missing counter {name}"))
+            .map_or(0, |(_, v)| *v)
     };
-    let fitted = kinds.iter().filter(|k| **k == "predictor_fitted").count() as u64;
-    assert_eq!(counter("predictor_refits"), fitted);
-    assert!(counter("samples_taken") > 0);
-    assert_eq!(
-        counter("health_checks"),
-        kinds.iter().filter(|k| **k == "health_check").count() as u64
-    );
-    // Stage timers covered every pipeline stage.
-    for stage in [
-        "warmup", "baseline", "sampling", "fit", "optimize", "testing",
+    // Every transition kind is counted, once per transition.
+    for kind in [
+        "fit_diagnosed",
+        "health_checked",
+        "sampling_round",
+        "decision_made",
     ] {
-        let name = format!("stage.{stage}.wall_us");
-        assert!(
-            snapshot
-                .histograms
-                .iter()
-                .any(|(n, h)| *n == name && h.count > 0),
-            "missing stage timer {name}"
-        );
+        let traced = kinds.iter().filter(|k| **k == kind).count() as u64;
+        assert!(traced > 0, "no {kind} transition in {kinds:?}");
+        assert_eq!(counter(&format!("transitions{{kind=\"{kind}\"}}")), traced);
     }
     // Every closed span feeds its per-name duration histogram, rendered
-    // with the span label into the snapshot's flat name space.
-    for span in ["run", "sampling", "fit", "predict", "decide"] {
+    // with the span label into the snapshot's flat name space — the
+    // per-stage wall-clock view of the control loop.
+    for span in [
+        "run", "warmup", "baseline", "sampling", "fit", "predict", "decide", "testing",
+    ] {
         let name = format!("span.wall_us{{span=\"{span}\"}}");
         assert!(
             snapshot
@@ -196,27 +203,25 @@ fn registry_snapshot_accounts_for_the_trace() {
 #[test]
 fn lasso_model_reports_selected_features() {
     let records = traced_run(ModelKind::QuadraticLasso);
-    let fitted = records
-        .iter()
-        .find_map(|r| match &r.event {
-            Event::PredictorFitted {
-                model,
+    let (lasso_features, cv_r2_ipc) = transitions(&records)
+        .into_iter()
+        .find_map(|t| match t {
+            StateRecord::FitDiagnosed {
                 lasso_features,
                 cv_r2_ipc,
                 ..
-            } => Some((model.clone(), lasso_features.clone(), *cv_r2_ipc)),
+            } => Some((lasso_features, cv_r2_ipc)),
             _ => None,
         })
-        .expect("predictor_fitted present");
-    assert!(fitted.0.contains("lasso"));
+        .expect("fit_diagnosed present");
     assert!(
-        !fitted.1.is_empty(),
+        !lasso_features.is_empty(),
         "lasso kinds report their kept features"
     );
-    for (_, w) in &fitted.1 {
+    for (_, w) in &lasso_features {
         assert!(w.is_finite());
     }
-    if let Some(r2) = fitted.2 {
+    if let Some(r2) = cv_r2_ipc {
         assert!(r2.is_finite());
     }
 }

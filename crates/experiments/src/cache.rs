@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use serde::{Content, Deserialize, Serialize};
 
-use mct_core::NvmConfig;
+use mct_core::{fnv1a64, NvmConfig};
 use mct_sim::stats::Metrics;
 use mct_telemetry::pipeline_stats;
 use mct_workloads::Workload;
@@ -45,18 +45,6 @@ use crate::sched::{default_workers, run_grains};
 /// Bump when the simulator/workload calibration changes incompatibly:
 /// stale grains are discarded on load.
 pub const CACHE_VERSION: u32 = 4;
-
-/// FNV-1a 64-bit hash (vendored-free content addressing; stable across
-/// platforms and runs, unlike `DefaultHasher`).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Content address of one measurement grain: workload, seed, detailed
 /// budget, and every knob of the configuration (as exact f64 bits).
@@ -704,14 +692,6 @@ mod tests {
             base,
             grain_key(Workload::Gups, 1, 1000, &NvmConfig::static_baseline())
         );
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

@@ -47,8 +47,7 @@ pub use ideal::{ideal_for, IdealSearch};
 pub use mix_mct::{run_mix_all, run_mix_mct};
 pub use report::{fmt_cell, Table};
 pub use runner::{
-    measure_one, par_map, shared_rig, sweep, sweep_with_threads, RigCell, WarmedRig,
-    EXPERIMENT_SEED,
+    measure_one, shared_rig, sweep, sweep_with_threads, RigCell, WarmedRig, EXPERIMENT_SEED,
 };
 pub use scale::Scale;
 pub use sched::{default_workers, run_grains};

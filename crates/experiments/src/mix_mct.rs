@@ -16,8 +16,8 @@ use mct_sim::stats::Metrics;
 use mct_sim::system::{MultiSystem, SystemConfig};
 use mct_workloads::{Mix, WorkloadSource};
 
-use crate::runner::par_map;
 use crate::scale::Scale;
+use crate::sched::run_grains;
 
 /// Which policy a mix run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,7 +136,7 @@ fn run_on_rig(
             let measured: Vec<(NvmConfig, Metrics)> = samples
                 .iter()
                 .copied()
-                .zip(par_map(&samples, threads, |c| rig.measure(c, unit).0))
+                .zip(run_grains(&samples, threads, |c| rig.measure(c, unit).0))
                 .collect();
             let mut predictor = MetricsPredictor::new(ModelKind::GradientBoosting);
             predictor.fit(&measured, Some(baseline));

@@ -227,29 +227,6 @@ pub fn measure_one(workload: Workload, cfg: &NvmConfig, scale: Scale, seed: u64)
     WarmedRig::new(workload, scale, seed).measure(cfg)
 }
 
-/// Map `f` over `items` on `threads` worker threads, preserving input
-/// order in the output.
-///
-/// Since the scheduler rework this is a thin alias for
-/// [`crate::sched::run_grains`]: items are dealt round-robin to
-/// per-worker deques and idle workers steal the back half of a victim's
-/// queue, so a run of slow items cannot strand work on one core. No
-/// slot can be skipped — every grain is executed exactly once, a
-/// panicking worker propagates through [`std::thread::scope`], and the
-/// index-keyed reassembly makes output order (and every downstream
-/// figure) independent of scheduling.
-///
-/// # Panics
-/// Propagates any panic raised by `f`.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    crate::sched::run_grains(items, threads, f)
-}
-
 /// Brute-force sweep: metrics for every configuration in `configs`,
 /// parallelized over the available cores.
 #[must_use]
@@ -284,7 +261,7 @@ pub fn sweep_with_threads(
 ) -> Vec<Metrics> {
     let rig = WarmedRig::new(workload, scale, seed);
     let batches: Vec<&[NvmConfig]> = configs.chunks(SWEEP_RIG_BATCH).collect();
-    par_map(&batches, threads, |batch| rig.measure_batch(batch))
+    crate::sched::run_grains(&batches, threads, |batch| rig.measure_batch(batch))
         .into_iter()
         .flatten()
         .collect()
@@ -328,40 +305,6 @@ mod tests {
         });
         assert!(slow.lifetime_years > fast.lifetime_years * 4.0);
         assert!(slow.ipc <= fast.ipc);
-    }
-
-    #[test]
-    fn par_map_preserves_order_for_all_shapes() {
-        // Regression for the zeroed-row bug: lengths that leave ragged
-        // tail chunks must still fill every output slot, in input order.
-        for n in [1usize, 2, 3, 7, 13, 64, 100] {
-            for threads in [1usize, 2, 3, 8, 200] {
-                let items: Vec<usize> = (0..n).collect();
-                let got = par_map(&items, threads, |&x| x * 2 + 1);
-                let want: Vec<usize> = items.iter().map(|&x| x * 2 + 1).collect();
-                assert_eq!(got, want, "n={n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_map_empty_input_yields_empty_output() {
-        let empty: [u32; 0] = [];
-        assert!(par_map(&empty, 4, |&x| x).is_empty());
-    }
-
-    #[test]
-    fn par_map_propagates_worker_panics() {
-        // A panicking worker must fail the whole call — never return a
-        // partially-zeroed result vector.
-        let items: Vec<u32> = (0..32).collect();
-        let result = std::panic::catch_unwind(|| {
-            par_map(&items, 4, |&x| {
-                assert!(x != 17, "injected failure");
-                x
-            })
-        });
-        assert!(result.is_err(), "panic must propagate to the caller");
     }
 
     #[test]

@@ -80,12 +80,6 @@ pub fn workers_plan(env: Option<&str>) -> WorkersPlan {
     }
 }
 
-/// The worker count alone, fallback reason discarded (legacy callers).
-#[must_use]
-pub fn workers_from(env: Option<&str>) -> usize {
-    workers_plan(env).workers
-}
-
 /// Run `f` over every item on `workers` work-stealing threads and
 /// return the results in input order.
 ///
@@ -220,12 +214,13 @@ mod tests {
 
     #[test]
     fn workers_from_env_parsing() {
-        assert_eq!(workers_from(Some("3")), 3);
-        assert_eq!(workers_from(Some("1")), 1);
-        let fallback = workers_from(None);
+        let workers = |env| workers_plan(env).workers;
+        assert_eq!(workers(Some("3")), 3);
+        assert_eq!(workers(Some("1")), 1);
+        let fallback = workers(None);
         assert!(fallback >= 1);
-        assert_eq!(workers_from(Some("0")), fallback, "zero is rejected");
-        assert_eq!(workers_from(Some("lots")), fallback, "junk is rejected");
+        assert_eq!(workers(Some("0")), fallback, "zero is rejected");
+        assert_eq!(workers(Some("lots")), fallback, "junk is rejected");
     }
 
     #[test]

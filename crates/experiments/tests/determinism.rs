@@ -7,7 +7,8 @@
 //! bit-for-bit equal metrics.
 
 use mct_core::{ConfigSpace, NvmConfig};
-use mct_experiments::{par_map, sweep_with_threads, Scale, WarmedRig, EXPERIMENT_SEED};
+use mct_experiments::sched::run_grains;
+use mct_experiments::{sweep_with_threads, Scale, WarmedRig, EXPERIMENT_SEED};
 use mct_sim::FaultPlan;
 use mct_workloads::Workload;
 
@@ -140,8 +141,8 @@ fn armed_empty_fault_plan_sweeps_bit_identical_to_unarmed() {
     armed.arm_faults(&FaultPlan::empty(42));
 
     for threads in [1usize, 2, 8] {
-        let base = par_map(&configs, threads, |c| unarmed.measure(c));
-        let faulted = par_map(&configs, threads, |c| armed.measure(c));
+        let base = run_grains(&configs, threads, |c| unarmed.measure(c));
+        let faulted = run_grains(&configs, threads, |c| armed.measure(c));
         for (i, (a, b)) in base.iter().zip(&faulted).enumerate() {
             assert_eq!(
                 a.ipc.to_bits(),
@@ -162,21 +163,28 @@ fn armed_empty_fault_plan_sweeps_bit_identical_to_unarmed() {
     }
 }
 
-/// Crash-safe persistence must have ZERO behavioral footprint: a
-/// controller run with `persist: None` (the default everywhere) and a
-/// run with a live state store attached must produce bit-identical
-/// outcomes — the store only *observes* the decision sequence, it never
-/// perturbs it. Differential companion to the kill-and-recover harness
-/// (`tests/crash_recovery.rs` at the workspace root).
+/// Crash-safe persistence and tracing must have ZERO behavioral
+/// footprint: a controller run with `persist: None` and no recorder (the
+/// default everywhere), a run with a live state store attached, and a run
+/// with both a store and a recorder on the transition stream must produce
+/// bit-identical outcomes — both sinks only *observe* the decision
+/// sequence, they never perturb it. Differential companion to the
+/// kill-and-recover harness (`tests/crash_recovery.rs` at the workspace
+/// root).
 #[test]
 fn persistence_observation_is_bit_invisible() {
     use mct_core::{Controller, ControllerConfig, Objective, Outcome, PersistConfig};
+    use mct_telemetry::{RecorderHandle, VecRecorder};
 
-    fn run(persist: Option<PersistConfig>) -> Outcome {
+    fn run(persist: Option<PersistConfig>, traced: bool) -> Outcome {
         let mut cfg = ControllerConfig::quick_demo();
         cfg.seed = EXPERIMENT_SEED;
         cfg.persist = persist;
         let mut controller = Controller::new(cfg, Objective::paper_default(8.0));
+        if traced {
+            let handle: RecorderHandle = VecRecorder::shared();
+            controller = controller.with_recorder(handle);
+        }
         controller.run(&mut Workload::Ocean.source(EXPERIMENT_SEED))
     }
 
@@ -199,11 +207,14 @@ fn persistence_observation_is_bit_invisible() {
         assert_eq!(a, b, "{label}: outcomes differ");
     }
 
-    let bare = run(None);
-    let bare_again = run(None);
+    let bare = run(None, false);
+    let bare_again = run(None, false);
     assert_bits("persist=None repeatability", &bare_again, &bare);
 
     let dir = mct_persist::TempDir::new("mct-determinism-persist");
-    let observed = run(Some(PersistConfig::fresh(dir.path().display().to_string())));
+    let store = || Some(PersistConfig::fresh(dir.path().display().to_string()));
+    let observed = run(store(), false);
     assert_bits("persist observation", &observed, &bare);
+    let traced = run(store(), true);
+    assert_bits("persisted + traced observation", &traced, &bare);
 }

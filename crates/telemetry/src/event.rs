@@ -1,4 +1,4 @@
-//! Typed decision-trace events emitted by the MCT runtime.
+//! Typed trace events emitted by the MCT runtime.
 //!
 //! Every event is wrapped in a [`Record`] envelope carrying a per-session
 //! sequence number, the simulated-instruction clock, and a wall-clock
@@ -6,140 +6,17 @@
 //! serialize to one JSON object per line (JSONL) via `serde_json`.
 
 use crate::span::SpanId;
-use mct_sim::stats::Metrics;
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 
-/// One structured telemetry event from the controller pipeline.
-///
-/// Variants mirror the paper's runtime stages (Section 5): phase
-/// detection, baseline measurement, cyclic sampling, predictor fitting,
-/// constrained selection, and the testing period's health checks.
+/// One structured telemetry event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Event {
-    /// The phase detector flagged a dramatic workload change.
-    PhaseDetected {
-        /// Welch t-score that crossed the detector threshold.
-        score: f64,
-        /// Total phases detected so far in this run.
-        phases_detected: u64,
-        /// Mean workload (accesses/kinst) over the detector history.
-        mean_workload: f64,
-    },
-    /// The static baseline ran and was measured for normalization.
-    BaselineMeasured {
-        /// Baseline configuration (display form).
-        config: String,
-        /// Measured baseline metrics.
-        metrics: Metrics,
-        /// Instructions the baseline measurement consumed.
-        insts: u64,
-        /// Whether the measurement was extended to gather enough accesses.
-        extended: bool,
-    },
-    /// One cyclic fine-grained sampling round completed.
-    SamplingRound {
-        /// Round index (0-based).
-        round: u64,
-        /// Total rounds planned for this segment.
-        total_rounds: u64,
-        /// Number of sample configurations visited per round.
-        samples: u64,
-        /// Instructions each sample configuration ran for.
-        unit_insts: u64,
-    },
-    /// The predictor was (re)fitted on the sampled measurements.
-    PredictorFitted {
-        /// Model family label (e.g. "quadratic-lasso").
-        model: String,
-        /// Number of sample points in the fit.
-        n_samples: u64,
-        /// Cross-validated R^2 of the IPC model, when computed.
-        cv_r2_ipc: Option<f64>,
-        /// Nonzero lasso-selected features (name, weight), when the model
-        /// family is lasso-based.
-        lasso_features: Vec<(String, f64)>,
-    },
-    /// The optimizer selected a configuration for the testing period.
-    ConfigSelected {
-        /// Chosen configuration (display form), after the quota fixup.
-        config: String,
-        /// Selection before the wear-quota fixup, if the fixup changed it.
-        config_before_fixup: Option<String>,
-        /// Predicted metrics for the chosen configuration.
-        predicted: Metrics,
-        /// Predicted lifetime margin over the objective floor, in years.
-        lifetime_slack_years: f64,
-        /// Whether the wear-quota fixup was applied to the selection.
-        quota_fixup_applied: bool,
-        /// Whether the optimizer fell back to the safe baseline because no
-        /// configuration satisfied the constraints.
-        fell_back: bool,
-    },
-    /// A periodic health check compared testing IPC against the baseline.
-    HealthCheck {
-        /// Mean IPC measured during testing so far.
-        testing_ipc: f64,
-        /// Baseline IPC reference.
-        baseline_ipc: f64,
-        /// Whether the check passed.
-        passed: bool,
-        /// Whether this check triggered a fallback to the baseline.
-        fallback_taken: bool,
-    },
-    /// The degradation ladder escalated (or recovered) in response to
-    /// sustained health-check failures or lifetime-floor pressure.
-    DegradationTransition {
-        /// Stage before the transition (e.g. "normal", "resample").
-        from: String,
-        /// Stage after the transition (e.g. "refit", "revert-to-static").
-        to: String,
-        /// Consecutive failed health checks that drove the escalation.
-        failures: u64,
-        /// Mean IPC measured during testing when the transition fired.
-        testing_ipc: f64,
-        /// Baseline IPC reference at the same moment.
-        baseline_ipc: f64,
-        /// Lifetime reading (years) at the same moment; infinite when no
-        /// wear was observed yet.
-        lifetime_years: f64,
-    },
-    /// A segment-start refit was skipped: the health checks were clean
-    /// (degradation ladder at normal) and the phase detector reported
-    /// the same phase signature as the cached fit, so the controller
-    /// reused the previous predictor instead of refitting.
-    FitElided {
-        /// Segment index (0-based) whose refit was skipped.
-        segment: u64,
-        /// Matched phase signature (log-bucketed accesses/kinst).
-        signature: u64,
-        /// Learner short label (e.g. "qlasso", "gbrt").
-        learner: String,
-    },
-    /// A phase segment finished (new phase detected or budget exhausted).
-    SegmentCompleted {
-        /// Segment index (0-based).
-        segment: u64,
-        /// Configuration the segment ran under (display form).
-        config: String,
-        /// Metrics the predictor promised for that configuration, if a
-        /// prediction was made this segment.
-        predicted: Option<Metrics>,
-        /// Metrics actually realized over the testing period.
-        realized: Metrics,
-        /// Detailed instructions the segment consumed.
-        insts: u64,
-    },
-    /// The whole run finished.
-    RunCompleted {
-        /// Number of phase segments executed.
-        segments: u64,
-        /// Total detailed instructions simulated (after warmup).
-        total_insts: u64,
-        /// Fallbacks taken across the run.
-        fallbacks: u64,
-        /// Aggregate run metrics.
-        metrics: Metrics,
-    },
+    /// One controller state transition (mct-core's `StateRecord`: the
+    /// paper's Section 5 stages from baseline to health checks), carried
+    /// as serialized content because this crate sits below the
+    /// controller and cannot name its types. mct-core decodes and
+    /// renders it (`mct report`).
+    Transition(Content),
     /// A timed region of the runtime was entered. Paired with a later
     /// `SpanClose` carrying the same `id`; `parent` links the enclosing
     /// open span ([`SpanId::NONE`] for roots), so `mct profile` can
@@ -163,18 +40,6 @@ pub enum Event {
         /// Span name, repeated for grep-ability of raw traces.
         name: String,
     },
-    /// Crash-safe persistence opened a state store and reconciled it
-    /// with the run: a fresh store, a verified replay of an interrupted
-    /// log, or a warm start harvested from a clean completion.
-    PersistRecovery {
-        /// Records recovered from the prior log that deterministic
-        /// re-execution must reproduce verbatim (0 for a fresh store).
-        replayed_records: u64,
-        /// Whether a clean prior log armed the warm-start bank.
-        warm_start: bool,
-        /// Fitted models restored into the warm-start fit cache.
-        restored_models: u64,
-    },
     /// A snapshot of the counters/histograms registry, usually emitted
     /// once at the end of a traced run.
     MetricsRegistry {
@@ -192,17 +57,7 @@ impl Event {
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
-            Event::PhaseDetected { .. } => "phase_detected",
-            Event::BaselineMeasured { .. } => "baseline_measured",
-            Event::SamplingRound { .. } => "sampling_round",
-            Event::PredictorFitted { .. } => "predictor_fitted",
-            Event::ConfigSelected { .. } => "config_selected",
-            Event::HealthCheck { .. } => "health_check",
-            Event::DegradationTransition { .. } => "degradation_transition",
-            Event::FitElided { .. } => "fit_elided",
-            Event::SegmentCompleted { .. } => "segment_completed",
-            Event::RunCompleted { .. } => "run_completed",
-            Event::PersistRecovery { .. } => "persist_recovery",
+            Event::Transition(_) => "transition",
             Event::SpanOpen { .. } => "span_open",
             Event::SpanClose { .. } => "span_close",
             Event::MetricsRegistry { .. } => "metrics_registry",
@@ -229,67 +84,26 @@ pub struct Record {
 mod tests {
     use super::*;
 
-    fn sample_metrics() -> Metrics {
-        Metrics {
-            ipc: 1.25,
-            lifetime_years: 6.5,
-            energy_j: 0.004,
-        }
-    }
-
     #[test]
-    fn records_round_trip_through_json() {
-        let records = vec![
-            Record {
-                seq: 0,
-                sim_insts: 0,
-                wall_us: 10,
-                event: Event::PhaseDetected {
-                    score: 21.5,
-                    phases_detected: 1,
-                    mean_workload: 14.2,
-                },
-            },
-            Record {
-                seq: 1,
-                sim_insts: 50_000,
-                wall_us: 120,
-                event: Event::PredictorFitted {
-                    model: "quadratic-lasso".into(),
-                    n_samples: 84,
-                    cv_r2_ipc: Some(0.93),
-                    lasso_features: vec![("fast_latency".into(), -0.41)],
-                },
-            },
-            Record {
-                seq: 2,
-                sim_insts: 80_000,
-                wall_us: 200,
-                event: Event::FitElided {
-                    segment: 1,
-                    signature: 1077,
-                    learner: "qlasso".into(),
-                },
-            },
-            Record {
-                seq: 3,
-                sim_insts: 90_000,
-                wall_us: 300,
-                event: Event::ConfigSelected {
-                    config: "F1.0/S2.0".into(),
-                    config_before_fixup: None,
-                    predicted: sample_metrics(),
-                    lifetime_slack_years: 2.5,
-                    quota_fixup_applied: true,
-                    fell_back: false,
-                },
-            },
-        ];
-        for record in records {
-            let line = serde_json::to_string(&record).expect("serialize");
-            let back: Record = serde_json::from_str(&line).expect("parse");
-            assert_eq!(back, record);
-        }
+    fn transitions_round_trip_through_json() {
+        let transition = serde_json::parse_content(
+            r#"{"HealthChecked":{"segment":0,"check":2,"passed":false,"testing_ipc":4607182418800017408}}"#,
+        )
+        .expect("json");
+        let record = Record {
+            seq: 7,
+            sim_insts: 50_000,
+            wall_us: 120,
+            event: Event::Transition(transition),
+        };
+        let line = serde_json::to_string(&record).expect("serialize");
+        assert!(
+            line.contains(r#""event":{"Transition":{"HealthChecked":"#),
+            "{line}"
+        );
+        let back: Record = serde_json::from_str(&line).expect("parse");
+        assert_eq!(back, record);
+        assert_eq!(back.event.kind(), "transition");
     }
 
     #[test]
@@ -332,33 +146,5 @@ mod tests {
                 labels: Vec::new(),
             }
         );
-    }
-
-    #[test]
-    fn kind_labels_are_distinct() {
-        let kinds = [
-            Event::PhaseDetected {
-                score: 0.0,
-                phases_detected: 0,
-                mean_workload: 0.0,
-            }
-            .kind(),
-            Event::SamplingRound {
-                round: 0,
-                total_rounds: 1,
-                samples: 4,
-                unit_insts: 100,
-            }
-            .kind(),
-            Event::RunCompleted {
-                segments: 1,
-                total_insts: 1,
-                fallbacks: 0,
-                metrics: sample_metrics(),
-            }
-            .kind(),
-        ];
-        let unique: std::collections::HashSet<_> = kinds.iter().collect();
-        assert_eq!(unique.len(), kinds.len());
     }
 }

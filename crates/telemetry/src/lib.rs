@@ -2,18 +2,19 @@
 //!
 //! Three pieces, one contract:
 //!
-//! - [`event`]: the typed decision-trace — what the controller decided
-//!   (phases, baselines, sampling rounds, fits, selections, health
-//!   checks) wrapped in a [`Record`] envelope with a sequence number and
-//!   both simulated-instruction and wall-clock timestamps;
+//! - [`event`]: the typed trace — the controller's state transitions
+//!   (carried opaquely; mct-core owns their type and renders them), span
+//!   edges and registry snapshots, each wrapped in a [`Record`] envelope
+//!   with a sequence number and both simulated-instruction and
+//!   wall-clock timestamps;
 //! - [`span`]: structured spans — nested enter/exit timing of the
 //!   control loop (sampling, fit, predict, decide), emitted as paired
 //!   `SpanOpen`/`SpanClose` events and reassembled post-hoc by
 //!   `mct profile`;
 //! - [`registry`]: label-aware counters and log-bucketed histograms
 //!   ([`histogram`]) for how much work the adaptive machinery did
-//!   (samples taken, refits, fallbacks, per-stage instruction and
-//!   wall-clock budgets), with bounded label cardinality;
+//!   (transitions per kind, fallbacks, span durations), with bounded
+//!   label cardinality;
 //! - [`pipeline`]: process-wide counters for the experiment pipeline —
 //!   scheduler grains (executed/stolen), measurement-cache hits and
 //!   discards, and warm-rig snapshot reuse;
@@ -23,8 +24,9 @@
 //!   session handle whose cached `enabled()` flag gates every
 //!   instrumentation site.
 //!
-//! [`report`] renders a trace file back into a per-phase decision
-//! timeline (`mct report <trace.jsonl>`); [`profile`] aggregates a
+//! [`report`] parses a trace file and renders its non-controller parts
+//! (`mct report <trace.jsonl>` prepends mct-core's decision timeline);
+//! [`profile`] aggregates a
 //! span-bearing trace into a profile tree (`mct profile <trace.jsonl>`);
 //! [`expose`] renders a registry snapshot in the Prometheus text format
 //! (`mct metrics`, `mct run --metrics-out`).
@@ -47,6 +49,6 @@ pub use profile::{render_collapsed, render_tree, SpanProfile};
 pub use recorder::{
     null_recorder, JsonlRecorder, NullRecorder, Recorder, RecorderHandle, Telemetry, VecRecorder,
 };
-pub use registry::{Registry, RegistrySnapshot, SeriesKey, StageTimer};
-pub use report::{parse_jsonl, parse_jsonl_tolerant, render_report, render_report_with_unknown};
+pub use registry::{Registry, RegistrySnapshot, SeriesKey};
+pub use report::{parse_jsonl, parse_jsonl_tolerant, render_report_with_unknown};
 pub use span::{SpanGuard, SpanId};

@@ -6,8 +6,9 @@
 //! the sink is a [`NullRecorder`].
 
 use crate::event::{Event, Record};
-use crate::registry::{Registry, StageTimer};
+use crate::registry::Registry;
 use crate::span::{SpanGuard, SpanStack};
+use serde::Content;
 use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -385,21 +386,15 @@ impl Telemetry {
             .observe_with(name, labels, value);
     }
 
-    /// Start a stage timer, or `None` when disabled.
-    #[must_use]
-    pub fn stage(&self, stage: &'static str, insts_start: u64) -> Option<StageTimer> {
-        if self.enabled {
-            Some(StageTimer::start(stage, insts_start))
-        } else {
-            None
+    /// Emit one controller state transition of kind `kind` (already
+    /// serialized, see [`Event::Transition`]), counted per kind in the
+    /// `transitions{kind="<kind>"}` series.
+    pub fn transition(&mut self, sim_insts: u64, kind: &str, transition: Content) {
+        if !self.enabled {
+            return;
         }
-    }
-
-    /// Finish a stage timer started with [`Telemetry::stage`].
-    pub fn finish_stage(&mut self, timer: Option<StageTimer>, insts_end: u64) {
-        if let Some(timer) = timer {
-            timer.finish(lock_recorder(&self.handle).registry_mut(), insts_end);
-        }
+        self.incr_with("transitions", &[("kind", kind)], 1);
+        self.emit(sim_insts, Event::Transition(transition));
     }
 
     /// A snapshot of the attached recorder's registry (empty when
@@ -430,29 +425,21 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mct_sim::stats::Metrics;
 
-    fn sample_event() -> Event {
-        Event::RunCompleted {
-            segments: 1,
-            total_insts: 100,
-            fallbacks: 0,
-            metrics: Metrics {
-                ipc: 1.0,
-                lifetime_years: 5.0,
-                energy_j: 0.1,
-            },
-        }
+    fn sample_transition() -> Content {
+        Content::Map(vec![(
+            "RunCompleted".to_string(),
+            Content::Map(vec![("segments".to_string(), Content::U64(1))]),
+        )])
     }
 
     #[test]
     fn disabled_session_emits_nothing() {
         let mut t = Telemetry::disabled();
         assert!(!t.enabled());
-        t.emit(0, sample_event());
+        t.transition(0, "run_completed", sample_transition());
         t.incr("x", 1);
-        let timer = t.stage("sampling", 0);
-        assert!(timer.is_none());
+        assert_eq!(t.registry_snapshot().counters.len(), 0);
     }
 
     #[test]
@@ -461,8 +448,8 @@ mod tests {
         let handle: RecorderHandle = rec.clone();
         let mut t = Telemetry::attached(handle);
         assert!(t.enabled());
-        t.emit(10, sample_event());
-        t.emit(20, sample_event());
+        t.transition(10, "run_completed", sample_transition());
+        t.transition(20, "run_completed", sample_transition());
         let guard = rec.lock().expect("lock");
         let records = guard.records();
         assert_eq!(records.len(), 2);
@@ -470,7 +457,13 @@ mod tests {
         assert_eq!(records[1].seq, 1);
         assert_eq!(records[0].sim_insts, 10);
         assert!(records[1].wall_us >= records[0].wall_us);
-        assert_eq!(guard.registry().counter("events.run_completed"), 2);
+        assert_eq!(guard.registry().counter("events.transition"), 2);
+        assert_eq!(
+            guard
+                .registry()
+                .counter_with("transitions", &[("kind", "run_completed")]),
+            2
+        );
     }
 
     #[test]
@@ -480,7 +473,7 @@ mod tests {
         {
             let recorder = JsonlRecorder::create(&path).expect("create trace file");
             let mut t = Telemetry::attached(recorder.handle());
-            t.emit(5, sample_event());
+            t.transition(5, "run_completed", sample_transition());
             t.finish(5);
         }
         let text = std::fs::read_to_string(&path).expect("read trace");
@@ -571,20 +564,5 @@ mod tests {
             guard.records().last().map(|r| &r.event),
             Some(Event::MetricsRegistry { .. })
         ));
-    }
-
-    #[test]
-    fn stage_timers_flow_into_registry() {
-        let handle = VecRecorder::new().handle();
-        let mut t = Telemetry::attached(Arc::clone(&handle));
-        let timer = t.stage("fit", 100);
-        assert!(timer.is_some());
-        t.finish_stage(timer, 400);
-        let mut guard = handle.lock().expect("lock");
-        let h = guard
-            .registry_mut()
-            .histogram("stage.fit.insts")
-            .expect("recorded");
-        assert_eq!(h.sum, 300.0);
     }
 }

@@ -1,12 +1,11 @@
-//! Rendering of decision-trace files: `mct report <trace.jsonl>`.
+//! Parsing and rendering of trace files: `mct report <trace.jsonl>`.
 //!
-//! Parses a JSONL trace back into [`Record`]s and renders a per-phase
-//! decision timeline — chosen configuration vs. predicted vs. realized
-//! metrics, health checks, and fallbacks — followed by the metrics
-//! registry, when the trace carries a snapshot.
+//! Parses a JSONL trace back into [`Record`]s and renders what this
+//! crate owns: the pipeline scheduler summary, the metrics registry and
+//! a span footer. The controller's transitions are mct-core's to render
+//! (its decision timeline, which `mct report` prints first).
 
 use crate::event::{Event, Record};
-use mct_sim::stats::Metrics;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -63,238 +62,24 @@ pub fn parse_jsonl_tolerant(text: &str) -> Result<(Vec<Record>, BTreeMap<String,
     Ok((records, unknown))
 }
 
-fn fmt_metrics(m: &Metrics) -> String {
-    format!(
-        "ipc {:.4}, lifetime {:.2} y, energy {:.4} J",
-        m.ipc, m.lifetime_years, m.energy_j
-    )
-}
-
-fn pct_delta(realized: f64, predicted: f64) -> String {
-    if predicted.abs() < 1e-12 || !predicted.is_finite() || !realized.is_finite() {
-        "n/a".to_string()
-    } else {
-        format!("{:+.1}%", (realized / predicted - 1.0) * 100.0)
-    }
-}
-
-/// Render the decision timeline as human-readable text.
-#[must_use]
-pub fn render_report(records: &[Record]) -> String {
-    render_report_with_unknown(records, &BTreeMap::new())
-}
-
-/// Render the decision timeline, with a footer reporting events the
-/// parser recognized as valid but could not type (from
-/// [`parse_jsonl_tolerant`]).
+/// Render a trace's pipeline, registry and span summaries, with a
+/// footer reporting events the parser recognized as valid but could not
+/// type (from [`parse_jsonl_tolerant`]). Controller transitions are
+/// skipped: mct-core's decision timeline renders them.
 #[must_use]
 pub fn render_report_with_unknown(records: &[Record], unknown: &BTreeMap<String, u64>) -> String {
     let mut out = String::new();
-    let mut segment = 0u64;
     let mut span_events = 0u64;
-    let mut fit_elided = 0u64;
     // Per-learner fit-span accounting for the summary footer: open
     // `fit` spans by id -> (learner label, open wall_us), folded into
     // learner -> (count, total_us) at the matching close.
     let mut open_fits: BTreeMap<u64, (String, u64)> = BTreeMap::new();
     let mut fit_totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    let _ = writeln!(out, "MCT decision trace: {} records", records.len());
+    let _ = writeln!(out, "MCT trace: {} records", records.len());
 
     for record in records {
-        let t = format!("[{:>12} insts {:>9} us]", record.sim_insts, record.wall_us);
         match &record.event {
-            Event::PhaseDetected {
-                score,
-                phases_detected,
-                mean_workload,
-            } => {
-                if *phases_detected == 0 {
-                    let _ = writeln!(out, "{t} initial phase (monitoring begins)");
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "{t} phase change #{phases_detected} detected (t-score {score:.1}, \
-                         mean workload {mean_workload:.2}/kinst)"
-                    );
-                }
-            }
-            Event::BaselineMeasured {
-                config,
-                metrics,
-                insts,
-                extended,
-            } => {
-                segment += 1;
-                let ext = if *extended { ", extended" } else { "" };
-                let _ = writeln!(out, "\n=== segment {segment} ===");
-                let _ = writeln!(
-                    out,
-                    "{t}   baseline {config} over {insts} insts{ext}: {}",
-                    fmt_metrics(metrics)
-                );
-            }
-            Event::SamplingRound {
-                round,
-                total_rounds,
-                samples,
-                unit_insts,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{t}   sampling round {}/{} ({} configs x {} insts)",
-                    round + 1,
-                    total_rounds,
-                    samples,
-                    unit_insts
-                );
-            }
-            Event::PredictorFitted {
-                model,
-                n_samples,
-                cv_r2_ipc,
-                lasso_features,
-            } => {
-                let cv = match cv_r2_ipc {
-                    Some(r2) => format!("cv R2(ipc) {r2:.3}"),
-                    None => "cv R2 not computed".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "{t}   predictor fitted: {model} on {n_samples} samples, {cv}"
-                );
-                if !lasso_features.is_empty() {
-                    let feats: Vec<String> = lasso_features
-                        .iter()
-                        .take(6)
-                        .map(|(name, w)| format!("{name} ({w:+.3})"))
-                        .collect();
-                    let _ = writeln!(
-                        out,
-                        "{:width$}   lasso kept {}: {}",
-                        "",
-                        lasso_features.len(),
-                        feats.join(", "),
-                        width = t.len()
-                    );
-                }
-            }
-            Event::ConfigSelected {
-                config,
-                config_before_fixup,
-                predicted,
-                lifetime_slack_years,
-                quota_fixup_applied,
-                fell_back,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{t}   selected {config}: predicted {}, lifetime slack {:+.2} y",
-                    fmt_metrics(predicted),
-                    lifetime_slack_years
-                );
-                if let Some(before) = config_before_fixup {
-                    let _ = writeln!(
-                        out,
-                        "{:width$}   quota fixup rewrote selection (was {before})",
-                        "",
-                        width = t.len()
-                    );
-                } else if *quota_fixup_applied {
-                    let _ = writeln!(
-                        out,
-                        "{:width$}   quota fixup checked, selection unchanged",
-                        "",
-                        width = t.len()
-                    );
-                }
-                if *fell_back {
-                    let _ = writeln!(
-                        out,
-                        "{:width$}   !! optimizer fell back to baseline (constraints unmet)",
-                        "",
-                        width = t.len()
-                    );
-                }
-            }
-            Event::HealthCheck {
-                testing_ipc,
-                baseline_ipc,
-                passed,
-                fallback_taken,
-            } => {
-                let verdict = if *passed { "ok" } else { "FAIL" };
-                let _ = writeln!(
-                    out,
-                    "{t}   health check {verdict}: testing ipc {testing_ipc:.4} vs baseline {baseline_ipc:.4}"
-                );
-                if *fallback_taken {
-                    let _ = writeln!(
-                        out,
-                        "{:width$}   !! fallback to baseline configuration",
-                        "",
-                        width = t.len()
-                    );
-                }
-            }
-            Event::DegradationTransition {
-                from,
-                to,
-                failures,
-                testing_ipc,
-                baseline_ipc,
-                lifetime_years,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{t}   !! degradation {from} -> {to} (failure #{failures}): \
-                     testing ipc {testing_ipc:.4} vs baseline {baseline_ipc:.4}, \
-                     lifetime {lifetime_years:.2} y"
-                );
-            }
-            Event::SegmentCompleted {
-                segment: seg,
-                config,
-                predicted,
-                realized,
-                insts,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{t}   segment {} done under {config} ({insts} insts): realized {}",
-                    seg + 1,
-                    fmt_metrics(realized)
-                );
-                if let Some(p) = predicted {
-                    let _ = writeln!(
-                        out,
-                        "{:width$}   vs predicted: ipc {}, lifetime {}, energy {}",
-                        "",
-                        pct_delta(realized.ipc, p.ipc),
-                        pct_delta(realized.lifetime_years, p.lifetime_years),
-                        pct_delta(realized.energy_j, p.energy_j),
-                        width = t.len()
-                    );
-                }
-            }
-            Event::RunCompleted {
-                segments,
-                total_insts,
-                fallbacks,
-                metrics,
-            } => {
-                let _ = writeln!(out, "\n=== run completed ===");
-                let _ = writeln!(
-                    out,
-                    "{t}   {segments} segment(s), {total_insts} insts, {fallbacks} fallback(s)"
-                );
-                let _ = writeln!(
-                    out,
-                    "{:width$}   aggregate: {}",
-                    "",
-                    fmt_metrics(metrics),
-                    width = t.len()
-                );
-            }
+            Event::Transition(_) => {}
             Event::PipelineCompleted { snapshot } => {
                 let _ = writeln!(out, "\n--- pipeline scheduler ---");
                 let _ = writeln!(
@@ -356,33 +141,6 @@ pub fn render_report_with_unknown(records: &[Record], unknown: &BTreeMap<String,
                     out.push('\n');
                 }
             }
-            Event::FitElided {
-                segment: seg,
-                signature,
-                learner,
-            } => {
-                fit_elided += 1;
-                let _ = writeln!(
-                    out,
-                    "{t}   refit elided for segment {}: phase signature {signature} \
-                     unchanged, reusing cached {learner} fit",
-                    seg + 1
-                );
-            }
-            Event::PersistRecovery {
-                replayed_records,
-                warm_start,
-                restored_models,
-            } => {
-                let mode = if *replayed_records > 0 {
-                    format!("verifying replay of {replayed_records} persisted record(s)")
-                } else if *warm_start {
-                    format!("warm start from {restored_models} restored model(s)")
-                } else {
-                    "fresh state store".to_string()
-                };
-                let _ = writeln!(out, "{t} crash-safe persistence armed: {mode}");
-            }
             // Spans are profiled, not narrated: the timeline stays a
             // decision log, and `mct profile` owns the timing view. Fit
             // spans are additionally tallied per learner for the footer.
@@ -408,19 +166,12 @@ pub fn render_report_with_unknown(records: &[Record], unknown: &BTreeMap<String,
             }
         }
     }
-    if fit_elided > 0 || !fit_totals.is_empty() {
-        let mut parts: Vec<String> = fit_totals
+    if !fit_totals.is_empty() {
+        let parts: Vec<String> = fit_totals
             .iter()
             .map(|(learner, (n, us))| format!("{learner} {n} fit(s) {:.1} ms", *us as f64 / 1e3))
             .collect();
-        if parts.is_empty() {
-            parts.push("no fit spans in trace".to_string());
-        }
-        let _ = writeln!(
-            out,
-            "\nfits: {} | {fit_elided} refit(s) elided",
-            parts.join(", ")
-        );
+        let _ = writeln!(out, "\nfit spans: {}", parts.join(", "));
     }
     if span_events > 0 {
         let _ = writeln!(
@@ -447,93 +198,19 @@ pub fn render_report_with_unknown(records: &[Record], unknown: &BTreeMap<String,
 mod tests {
     use super::*;
     use crate::recorder::{RecorderHandle, Telemetry, VecRecorder};
-
-    fn metrics(ipc: f64) -> Metrics {
-        Metrics {
-            ipc,
-            lifetime_years: 8.0,
-            energy_j: 0.02,
-        }
-    }
+    use serde::Content;
 
     fn sample_trace() -> Vec<Record> {
         let rec = VecRecorder::shared();
         let handle: RecorderHandle = rec.clone();
         let mut t = Telemetry::attached(handle);
-        t.emit(
-            0,
-            Event::PhaseDetected {
-                score: 0.0,
-                phases_detected: 0,
-                mean_workload: 0.0,
-            },
-        );
-        t.emit(
-            0,
-            Event::BaselineMeasured {
-                config: "baseline".into(),
-                metrics: metrics(1.0),
-                insts: 50_000,
-                extended: false,
-            },
-        );
-        t.emit(
-            60_000,
-            Event::SamplingRound {
-                round: 0,
-                total_rounds: 2,
-                samples: 12,
-                unit_insts: 2_000,
-            },
-        );
-        t.emit(
-            90_000,
-            Event::PredictorFitted {
-                model: "quadratic-lasso".into(),
-                n_samples: 24,
-                cv_r2_ipc: Some(0.91),
-                lasso_features: vec![("fast_latency".into(), -0.4)],
-            },
-        );
-        t.emit(
-            95_000,
-            Event::ConfigSelected {
-                config: "F1.5/S2.5".into(),
-                config_before_fixup: Some("F1.0/S2.0".into()),
-                predicted: metrics(1.2),
-                lifetime_slack_years: 1.5,
-                quota_fixup_applied: true,
-                fell_back: false,
-            },
-        );
-        t.emit(
-            200_000,
-            Event::HealthCheck {
-                testing_ipc: 1.19,
-                baseline_ipc: 1.0,
-                passed: true,
-                fallback_taken: false,
-            },
-        );
-        t.emit(
-            400_000,
-            Event::SegmentCompleted {
-                segment: 0,
-                config: "F1.5/S2.5".into(),
-                predicted: Some(metrics(1.2)),
-                realized: metrics(1.18),
-                insts: 400_000,
-            },
-        );
-        t.emit(
-            400_000,
-            Event::RunCompleted {
-                segments: 1,
-                total_insts: 400_000,
-                fallbacks: 0,
-                metrics: metrics(1.18),
-            },
-        );
+        let run = t.span("run", 0);
+        let transition = Content::Map(vec![(
+            "SegmentStarted".to_string(),
+            Content::Map(vec![("segment".to_string(), Content::U64(0))]),
+        )]);
+        t.transition(0, "segment_started", transition);
+        t.close_span(run, 400_000);
         t.finish(400_000);
         let mut guard = rec.lock().expect("lock");
         guard.take_records()
@@ -549,17 +226,12 @@ mod tests {
         let parsed = parse_jsonl(&jsonl).expect("parse");
         assert_eq!(parsed, records);
 
-        let report = render_report(&parsed);
-        assert!(report.contains("initial phase"));
-        assert!(report.contains("segment 1"));
-        assert!(report.contains("quadratic-lasso"));
-        assert!(report.contains("selected F1.5/S2.5"));
-        assert!(report.contains("quota fixup rewrote selection"));
-        assert!(report.contains("health check ok"));
-        assert!(report.contains("vs predicted"));
-        assert!(report.contains("run completed"));
+        let report = render_report_with_unknown(&parsed, &BTreeMap::new());
+        assert!(report.contains("MCT trace: 4 records"), "{report}");
         assert!(report.contains("metrics registry"));
-        assert!(report.contains("events.config_selected"));
+        assert!(report.contains("transitions{kind=\"segment_started\"}"));
+        // Transitions are mct-core's to narrate.
+        assert!(!report.contains("SegmentStarted"), "{report}");
     }
 
     #[test]
@@ -594,7 +266,7 @@ mod tests {
             wall_us: 0,
             event: Event::PipelineCompleted { snapshot },
         }];
-        let report = render_report(&records);
+        let report = render_report_with_unknown(&records, &BTreeMap::new());
         assert!(
             report.contains("!! workers: MCT_WORKERS=\"0\" rejected"),
             "{report}"
@@ -608,7 +280,7 @@ mod tests {
                 snapshot: crate::pipeline::PipelineSnapshot::default(),
             },
         }];
-        assert!(!render_report(&quiet).contains("!! workers"));
+        assert!(!render_report_with_unknown(&quiet, &BTreeMap::new()).contains("!! workers"));
     }
 
     #[test]
@@ -645,44 +317,24 @@ mod tests {
         t.close_span(fit, 2);
         t.close_span(run, 3);
         let records = rec.lock().expect("lock").take_records();
-        let report = render_report(&records);
+        let report = render_report_with_unknown(&records, &BTreeMap::new());
         assert!(report.contains("spans: 4 span events"), "{report}");
         assert!(!report.contains("span_open"), "no per-span timeline lines");
     }
 
     #[test]
-    fn fit_footer_totals_per_learner_and_counts_elisions() {
+    fn fit_footer_totals_per_learner() {
         let rec = VecRecorder::shared();
         let mut t = Telemetry::attached(rec.clone() as RecorderHandle);
         let run = t.span("run", 0);
         let fit_a = t.span_with("fit", 1, &[("learner", "qlasso")]);
         t.close_span(fit_a, 2);
-        t.emit(
-            3,
-            Event::FitElided {
-                segment: 1,
-                signature: 1077,
-                learner: "qlasso".into(),
-            },
-        );
         let fit_b = t.span_with("fit", 4, &[("learner", "gbrt")]);
         t.close_span(fit_b, 5);
         t.close_span(run, 6);
         let records = rec.lock().expect("lock").take_records();
-        let report = render_report(&records);
-        assert!(
-            report.contains("refit elided for segment 2: phase signature 1077"),
-            "{report}"
-        );
-        assert!(report.contains("1 refit(s) elided"), "{report}");
+        let report = render_report_with_unknown(&records, &BTreeMap::new());
         assert!(report.contains("qlasso 1 fit(s)"), "{report}");
         assert!(report.contains("gbrt 1 fit(s)"), "{report}");
-    }
-
-    #[test]
-    fn pct_delta_guards_degenerate_predictions() {
-        assert_eq!(pct_delta(1.0, 0.0), "n/a");
-        assert_eq!(pct_delta(1.0, f64::NAN), "n/a");
-        assert_eq!(pct_delta(1.1, 1.0), "+10.0%");
     }
 }

@@ -31,8 +31,8 @@
 use std::process::ExitCode;
 
 use memory_cocktail_therapy::framework::{
-    ConfigSpace, Controller, ControllerConfig, ModelKind, NvmConfig, Objective, PersistConfig,
-    RecoveryReport,
+    render_timeline, trace_transitions, ConfigSpace, Controller, ControllerConfig, ModelKind,
+    NvmConfig, Objective, PersistConfig, RecoveryReport,
 };
 use memory_cocktail_therapy::sim::{FaultPlan, System, SystemConfig};
 use memory_cocktail_therapy::telemetry::{
@@ -341,11 +341,13 @@ fn cmd_report(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Tolerant parse: records whose event kind this binary does not know
-    // (a trace written by a newer mct) are counted and surfaced in the
-    // report footer instead of failing the whole render.
+    // Tolerant parse: records whose event kind (or transition kind) this
+    // binary does not know (a trace written by a newer mct) are counted
+    // and surfaced in the report footer instead of failing the render.
     match parse_jsonl_tolerant(&text) {
-        Ok((records, unknown)) => {
+        Ok((records, mut unknown)) => {
+            let transitions = trace_transitions(&records, &mut unknown);
+            print!("{}", render_timeline(&transitions));
             print!("{}", render_report_with_unknown(&records, &unknown));
             ExitCode::SUCCESS
         }

@@ -9,11 +9,13 @@
 //!    telemetry trace, record for record (modulo wall-clock timestamps).
 //! 3. **Golden degradation ladder**: a committed fixture plan walks the
 //!    controller through re-sample → refit → revert-to-static in exactly
-//!    the committed order (`tests/fixtures/degradation_golden.jsonl`).
+//!    the committed order: the trace's `LadderMoved` transitions are
+//!    pinned in `tests/fixtures/degradation_golden.jsonl`.
 //!    Regenerate with `MCT_BLESS=1 cargo test --test fault_injection`.
 
 use memory_cocktail_therapy::framework::{
-    Controller, ControllerConfig, ModelKind, NvmConfig, Objective,
+    trace_transitions, Controller, ControllerConfig, DegradationStage, ModelKind, NvmConfig,
+    Objective, StateRecord,
 };
 use memory_cocktail_therapy::sim::{
     AccessKind, AccessSource, FaultEvent, FaultPlan, System, SystemConfig, TraceEvent,
@@ -213,31 +215,34 @@ fn seeded_plan_reproduces_identical_traces() {
 #[test]
 fn golden_degradation_trace_pins_escalation_order() {
     let records = traced_run(Workload::Stream, degradation_plan());
-    let transitions: Vec<&Record> = records
-        .iter()
-        .filter(|r| r.event.kind() == "degradation_transition")
-        .collect();
+    let moves: Vec<StateRecord> =
+        trace_transitions(&records, &mut std::collections::BTreeMap::new())
+            .into_iter()
+            .filter(|t| matches!(t, StateRecord::LadderMoved { .. }))
+            .collect();
 
     // The ladder itself, independent of the serialized form: the fixture
     // plan must walk re-sample -> refit -> revert-to-static, in order.
-    let stages: Vec<String> = transitions
+    let stages: Vec<DegradationStage> = moves
         .iter()
-        .map(|r| match &r.event {
-            memory_cocktail_therapy::telemetry::Event::DegradationTransition { to, .. } => {
-                to.clone()
-            }
+        .map(|t| match t {
+            StateRecord::LadderMoved { to, .. } => *to,
             _ => unreachable!("filtered on kind"),
         })
         .collect();
     assert_eq!(
         stages,
-        vec!["resample", "refit", "revert-to-static"],
+        vec![
+            DegradationStage::Resample,
+            DegradationStage::Refit,
+            DegradationStage::RevertToStatic
+        ],
         "escalation ladder order"
     );
 
-    let rendered: String = transitions
+    let rendered: String = moves
         .iter()
-        .map(|r| serde_json::to_string(r).expect("serialize record") + "\n")
+        .map(|t| serde_json::to_string(t).expect("serialize transition") + "\n")
         .collect();
 
     let golden_path = fixture_path("degradation_golden.jsonl");

@@ -3,7 +3,9 @@
 //! survives a strict lexer, and a report that narrates rather than
 //! floods.
 
-use memory_cocktail_therapy::framework::{Controller, ControllerConfig, ModelKind, Objective};
+use memory_cocktail_therapy::framework::{
+    render_timeline, trace_transitions, Controller, ControllerConfig, ModelKind, Objective,
+};
 use memory_cocktail_therapy::telemetry::{
     expose::validate_prometheus, parse_jsonl_tolerant, render_collapsed, render_prometheus,
     render_report_with_unknown, render_tree, Event, JsonlRecorder, SpanProfile,
@@ -30,10 +32,11 @@ fn traced_run_profiles_and_exposes() {
     traced_run_to(&path);
     let text = std::fs::read_to_string(&path).expect("trace readable");
 
-    let (records, unknown) = parse_jsonl_tolerant(&text).expect("trace parses");
+    let (records, mut unknown) = parse_jsonl_tolerant(&text).expect("trace parses");
+    let transitions = trace_transitions(&records, &mut unknown);
     assert!(
         unknown.is_empty(),
-        "self-written trace has no unknown kinds"
+        "self-written trace has no unknown kinds: {unknown:?}"
     );
 
     // --- Span tree: well-formed, covering, and phase-complete. ---
@@ -84,24 +87,23 @@ fn traced_run_profiles_and_exposes() {
     assert!(prom.contains("mct_span_wall_us{span=\"run\""));
     assert!(prom.contains("mct_span_wall_us_count{span=\"fit\"}"));
 
-    // --- Report narrates spans in one line instead of per-event. ---
-    let report = render_report_with_unknown(&records, &std::collections::BTreeMap::new());
+    // --- The report (as `mct report` renders it) narrates decisions and
+    // summarizes spans in one line instead of per-event. ---
+    let timeline = render_timeline(&transitions);
+    assert!(timeline.contains("selected "), "{timeline}");
+    let report = render_report_with_unknown(&records, &unknown);
     assert!(report.contains("span events in trace"));
-    // Span events are summarized, not narrated one line each: timeline
-    // entries (the `[... insts ... us]` lines) cover only non-span
-    // events, so a span-dominated trace still reports compactly.
-    let span_events = records
+    // Spans add a bounded footer (span and fit-span summaries), never a
+    // line per span event.
+    let without_spans: Vec<_> = records
         .iter()
-        .filter(|r| matches!(r.event, Event::SpanOpen { .. } | Event::SpanClose { .. }))
-        .count();
-    let timeline_lines = report
-        .lines()
-        .filter(|l| l.trim_start().starts_with('['))
-        .count();
-    assert!(span_events > 0);
+        .filter(|r| !matches!(r.event, Event::SpanOpen { .. } | Event::SpanClose { .. }))
+        .cloned()
+        .collect();
+    assert!(without_spans.len() < records.len());
+    let bare = render_report_with_unknown(&without_spans, &unknown);
     assert!(
-        timeline_lines < records.len() - span_events,
-        "{timeline_lines} timeline lines vs {} records ({span_events} span events)",
-        records.len()
+        report.lines().count() <= bare.lines().count() + 4,
+        "span events flooded the report:\n{report}"
     );
 }
