@@ -1,7 +1,8 @@
 //! Pipeline-scale primitives: the work-stealing scheduler's dispatch
-//! overhead, grain-key hashing, the JSONL grain store's record/reopen
-//! round trip, and the cost of cloning a warmed rig snapshot (what every
-//! figure pays per measurement instead of a full re-warm).
+//! overhead, grain-key hashing, the grain store's record/reopen round
+//! trip over its checksummed log, and the cost of cloning a warmed rig
+//! snapshot (what every figure pays per measurement instead of a full
+//! re-warm).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -56,9 +57,9 @@ fn bench_keys(c: &mut Criterion) {
     group.finish();
 }
 
-/// GrainStore persistence: appending 256 records to a fresh store, and
-/// reopening (parse + validate) a 256-line store — the cold-start cost a
-/// resumed pipeline pays per store file.
+/// GrainStore persistence: appending 256 records (one fsynced frame
+/// each) to a fresh shard, and reopening (checksum + decode) a 256-frame
+/// shard — the cold-start cost a resumed pipeline pays per shard.
 fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_store");
     group.sample_size(10);
@@ -75,23 +76,23 @@ fn bench_store(c: &mut Criterion) {
         let mut round = 0u64;
         b.iter(|| {
             round += 1;
-            let path = dir.join(format!("record_{round}.jsonl"));
-            let store = GrainStore::open(path.clone());
+            let shard = dir.join(format!("record_{round}"));
+            let store = GrainStore::open(shard.clone());
             for k in 0..256u64 {
                 store.record(k, metrics);
             }
-            let _ = std::fs::remove_file(path);
+            let _ = std::fs::remove_dir_all(shard);
         });
     });
 
-    let reopen_path = dir.join("reopen.jsonl");
-    let seed_store = GrainStore::open(reopen_path.clone());
+    let reopen_shard = dir.join("reopen");
+    let seed_store = GrainStore::open(reopen_shard.clone());
     for k in 0..256u64 {
         seed_store.record(k, metrics);
     }
     drop(seed_store);
     group.bench_function("reopen_256", |b| {
-        b.iter(|| std::hint::black_box(GrainStore::open(reopen_path.clone()).len()));
+        b.iter(|| std::hint::black_box(GrainStore::open(reopen_shard.clone()).len()));
     });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);

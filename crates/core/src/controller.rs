@@ -28,7 +28,9 @@ use crate::config::NvmConfig;
 use crate::degrade::{DegradationAction, DegradationLadder};
 use crate::objective::Objective;
 use crate::optimizer::{optimize, OptimizationResult};
-use crate::persist::{config_digest, PersistConfig, PersistSession, StateRecord};
+use crate::persist::{
+    config_digest, PersistConfig, PersistSession, StateRecord, SNAPSHOT_MODEL_SLOTS,
+};
 use crate::phase::{PhaseDetector, PhaseDetectorConfig};
 use crate::predictor::{lasso_feature_report, MetricsPredictor, ModelKind};
 use crate::sampling::{feature_based_samples, random_samples, with_anchors};
@@ -432,7 +434,6 @@ impl Controller {
         // the phase it was trained on. Invalidated wholesale whenever the
         // ladder forces a refit or a revert — the banked models no longer
         // describe how the system behaves.
-        const FIT_CACHE_SLOTS: usize = 4;
         let mut fit_cache: Vec<(f64, MetricsPredictor)> = Vec::new();
         // Warm start: a clean prior run's fitted models pre-seed the
         // elision bank. While the controller coasts on them (until the
@@ -444,7 +445,7 @@ impl Controller {
         let mut warm_coasting = false;
         if let Some(session) = self.persist.as_mut() {
             for (apki_bits, state) in session.take_warm_bank() {
-                if fit_cache.len() < FIT_CACHE_SLOTS {
+                if fit_cache.len() < SNAPSHOT_MODEL_SLOTS {
                     fit_cache.push((
                         f64::from_bits(apki_bits),
                         MetricsPredictor::from_state(state),
@@ -717,7 +718,7 @@ impl Controller {
                 if let Some(slot) = cache_hit {
                     fit_cache[slot] = (apki, predictor);
                 } else {
-                    if fit_cache.len() == FIT_CACHE_SLOTS {
+                    if fit_cache.len() == SNAPSHOT_MODEL_SLOTS {
                         fit_cache.remove(0);
                     }
                     fit_cache.push((apki, predictor));

@@ -64,6 +64,9 @@ pub use extensions::{extended_space, ExtendedNvmConfig};
 /// The one FNV-1a hash of the workspace (WAL checksums, config digests,
 /// grain-cache keys).
 pub use mct_persist::fnv1a64;
+/// The checksummed log that controller state and the experiment caches
+/// share.
+pub use mct_persist::{PersistError, StateStore};
 pub use objective::{Constraint, Metric, Objective, OptimizeTarget};
 pub use optimizer::{optimize, OptimizationResult};
 pub use persist::{

@@ -66,9 +66,9 @@ use crate::predictor::ModelKind;
 /// and the lifetime reading to [`StateRecord::LadderMoved`].
 pub const STATE_SCHEMA_VERSION: u32 = 2;
 
-/// How many trailing fresh-fit records keep their full model payload in
-/// a snapshot body. Matches the controller's refit-elision bank depth:
-/// older models could never be reused anyway.
+/// Depth of the controller's refit-elision bank, and so how many
+/// trailing fresh-fit records keep their full model payload in a
+/// snapshot body: older models could never be reused anyway.
 pub const SNAPSHOT_MODEL_SLOTS: usize = 4;
 
 /// [`Metrics`] as raw IEEE-754 bit patterns.

@@ -7,33 +7,43 @@
 //!
 //! This module caches *measurement grains* instead. A grain is one
 //! (workload × config × detailed budget) measurement, addressed by an
-//! FNV-1a hash over its full calibration identity ([`grain_key`]), and
-//! persisted as one JSONL line appended (and flushed) the moment it is
-//! measured. A killed or partial run therefore loses nothing, figures
-//! can share grains regardless of which config list requested them, and
-//! [`load_or_compute_sweeps`] flattens *all* outstanding grains across
-//! every requested sweep into one batch for the work-stealing scheduler
-//! ([`crate::sched`]).
+//! FNV-1a hash over its full calibration identity ([`grain_key`]). Each
+//! shard is an `mct-persist` store directory ([`StateStore`]) holding a
+//! checksummed `wal.bin`, and every grain is one frame `{v, k, val}`
+//! appended and fsynced the moment it is measured. Grain values are
+//! [`BitMetrics`], so every float — `+inf` lifetimes and NaNs included —
+//! comes back bit for bit. A killed or partial run therefore loses
+//! nothing, figures can share grains regardless of which config list
+//! requested them, and [`load_or_compute_sweeps`] flattens *all*
+//! outstanding grains across every requested sweep into one batch for
+//! the work-stealing scheduler ([`crate::sched`]).
 //!
-//! Loading is tolerant: lines whose `v` field predates [`CACHE_VERSION`]
-//! are discarded (logged, counted as `stale_discarded`), and corrupt or
-//! truncated lines — e.g. the tail of a write cut off by a kill — are
-//! discarded and re-measured rather than crashing (`corrupt_discarded`).
+//! Loading follows the store's corruption rule and re-measures rather
+//! than crashing. A torn tail (the unacknowledged end of a killed
+//! append) is dropped; a frame that passes its checksum but does not
+//! decode is skipped; both count as `corrupt_discarded`. Frames written
+//! under another [`CACHE_VERSION`] are skipped as `stale_discarded`. A
+//! shard the store refuses to open (a bit flip in an acknowledged frame,
+//! a bad header, another format version) is counted, noted once, and
+//! recreated empty, so a damaged record is never used silently.
 //!
-//! Derived results (controller runs, mix runs) use the same machinery
-//! via [`DerivedStore`]: arbitrary serde values keyed by a label + the
+//! Derived results (controller runs, mix runs) use the same store via
+//! [`DerivedStore`]: arbitrary serde values keyed by a label + the
 //! parameters that determine them.
+//!
+//! A shard has one writer: the process-wide pools give each shard one
+//! handle per process, and two processes must not write to one data dir
+//! at the same time.
 
 use std::collections::HashMap;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use serde::{Content, Deserialize, Serialize};
 
-use mct_core::{fnv1a64, NvmConfig};
+use mct_core::persist::BitMetrics;
+use mct_core::{fnv1a64, NvmConfig, StateStore};
 use mct_sim::stats::Metrics;
 use mct_telemetry::pipeline_stats;
 use mct_workloads::Workload;
@@ -49,8 +59,8 @@ pub const CACHE_VERSION: u32 = 4;
 /// Content address of one measurement grain: workload, seed, detailed
 /// budget, and every knob of the configuration (as exact f64 bits).
 ///
-/// The cache version is *not* hashed in — it is stored per line so that
-/// stale entries can be recognized, counted, and logged rather than
+/// The cache version is *not* hashed in — it is stored per frame so
+/// that stale entries can be recognized, counted, and logged rather than
 /// silently orphaned.
 #[must_use]
 pub fn grain_key(workload: Workload, seed: u64, detailed_insts: u64, cfg: &NvmConfig) -> u64 {
@@ -87,183 +97,155 @@ pub fn derived_key(label: &str, seed: u64, params: &[f64]) -> u64 {
     fnv1a64(&bytes)
 }
 
-/// One persisted measurement grain (a JSONL line).
+/// One cached value: the payload of one WAL frame.
 #[derive(Debug, Serialize, Deserialize)]
-struct GrainLine {
-    /// Cache version the grain was measured under.
+struct Entry {
+    /// Cache version the value was produced under.
     v: u32,
-    /// [`grain_key`] content address.
+    /// [`grain_key`] or [`derived_key`] content address.
     k: u64,
-    /// The measured metrics.
-    m: Metrics,
+    /// The serde-encoded value.
+    val: Content,
 }
 
-/// Tolerantly load a JSONL store, discarding (and counting) stale and
-/// corrupt lines. Returns the surviving `(key, line)` pairs.
-fn load_jsonl<L: Deserialize>(path: &Path, version_of: impl Fn(&L) -> u32) -> Vec<L> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut stale = 0u64;
-    let mut corrupt = 0u64;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<L>(line) {
-            Ok(l) if version_of(&l) == CACHE_VERSION => out.push(l),
-            Ok(_) => stale += 1,
-            Err(_) => corrupt += 1,
-        }
-    }
-    let stats = pipeline_stats();
-    if stale > 0 {
-        stats.add_stale_discarded(stale);
-        eprintln!(
-            "note: discarded {stale} stale cache entr{} in {} (cache version != {CACHE_VERSION}); re-measuring",
-            if stale == 1 { "y" } else { "ies" },
-            path.display()
-        );
-    }
-    if corrupt > 0 {
-        stats.add_corrupt_discarded(corrupt);
-        eprintln!(
-            "note: discarded {corrupt} corrupt/truncated cache line{} in {}; re-measuring",
-            if corrupt == 1 { "" } else { "s" },
-            path.display()
-        );
-    }
-    out
-}
-
-/// An append-only on-disk store of measurement grains.
+/// An append-only cache shard: content-addressed values over one
+/// [`StateStore`] log.
 ///
-/// Each recorded grain is appended and flushed as its own line, so a
-/// killed run keeps everything measured up to the kill. All methods are
+/// Each recorded value is appended and fsynced as its own frame, so a
+/// killed run keeps everything recorded up to the kill. All methods are
 /// thread-safe — scheduler workers record grains concurrently.
 #[derive(Debug)]
-pub struct GrainStore {
-    path: PathBuf,
-    entries: Mutex<HashMap<u64, Metrics>>,
-    writer: Mutex<Option<fs::File>>,
+pub struct Store<V> {
+    dir: PathBuf,
+    entries: Mutex<HashMap<u64, V>>,
+    log: Mutex<StateStore>,
 }
 
-impl GrainStore {
-    /// Open (or create-on-first-write) the store at `path`, tolerantly
-    /// loading whatever valid grains it already holds.
+/// Measurement grains, keyed by [`grain_key`].
+pub type GrainStore = Store<BitMetrics>;
+
+/// Derived results — controller and mix outcomes — keyed by
+/// [`derived_key`].
+pub type DerivedStore = Store<Content>;
+
+impl<V: Serialize + Deserialize + Clone> Store<V> {
+    /// Open the shard directory `dir` (created if missing), loading every
+    /// entry that decodes under [`CACHE_VERSION`]. Damage is counted,
+    /// noted once, and re-measured (see the module docs).
+    ///
+    /// # Panics
+    /// Panics when the shard cannot be created in `dir`.
     #[must_use]
-    pub fn open(path: PathBuf) -> GrainStore {
-        let entries = load_jsonl::<GrainLine>(&path, |l| l.v)
-            .into_iter()
-            .map(|l| (l.k, l.m))
-            .collect();
-        GrainStore {
-            path,
+    pub fn open(dir: PathBuf) -> Store<V> {
+        let stats = pipeline_stats();
+        let (log, frames, torn) = match StateStore::open(&dir) {
+            Ok((log, replay)) => (log, replay.records, replay.torn.is_some()),
+            Err(e) => {
+                stats.add_corrupt_discarded(1);
+                eprintln!(
+                    "note: cache shard {} is damaged ({e}); recreating it empty and re-measuring",
+                    dir.display()
+                );
+                let log = StateStore::create(&dir).expect("recreate cache shard");
+                (log, Vec::new(), false)
+            }
+        };
+        let mut entries = HashMap::with_capacity(frames.len());
+        let (mut stale, mut corrupt) = (0u64, u64::from(torn));
+        for frame in &frames {
+            let entry = std::str::from_utf8(frame)
+                .ok()
+                .and_then(|text| serde_json::from_str::<Entry>(text).ok());
+            match entry {
+                Some(e) if e.v != CACHE_VERSION => stale += 1,
+                Some(e) => match V::deserialize_content(&e.val) {
+                    Ok(val) => {
+                        entries.insert(e.k, val);
+                    }
+                    Err(_) => corrupt += 1,
+                },
+                None => corrupt += 1,
+            }
+        }
+        if stale + corrupt > 0 {
+            stats.add_stale_discarded(stale);
+            stats.add_corrupt_discarded(corrupt);
+            eprintln!(
+                "note: cache shard {}: discarded {stale} stale (cache version != {CACHE_VERSION}) \
+                 and {corrupt} corrupt or torn entries; re-measuring",
+                dir.display()
+            );
+        }
+        Store {
+            dir,
             entries: Mutex::new(entries),
-            writer: Mutex::new(None),
+            log: Mutex::new(log),
         }
     }
 
-    /// Number of cached grains.
+    /// Number of cached entries.
     ///
     /// # Panics
     /// Panics if the store mutex is poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("grain store lock").len()
+        self.entries.lock().expect("cache shard lock").len()
     }
 
-    /// True when no grains are cached.
+    /// True when nothing is cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
+    fn lookup(&self, key: u64) -> Option<V> {
+        self.entries
+            .lock()
+            .expect("cache shard lock")
+            .get(&key)
+            .cloned()
+    }
+
+    /// Append `val` to the log (fsynced: a killed run loses at most the
+    /// frame being written), then serve it from memory.
+    fn insert(&self, key: u64, val: V) {
+        let entry = Entry {
+            v: CACHE_VERSION,
+            k: key,
+            val: val.serialize_content(),
+        };
+        self.log
+            .lock()
+            .expect("cache shard log lock")
+            .append_record(&entry)
+            .expect("append to cache shard");
+        self.entries
+            .lock()
+            .expect("cache shard lock")
+            .insert(key, val);
+    }
+}
+
+impl GrainStore {
     /// The cached metrics for `key`, if present.
     ///
     /// # Panics
     /// Panics if the store mutex is poisoned.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<Metrics> {
-        self.entries
-            .lock()
-            .expect("grain store lock")
-            .get(&key)
-            .copied()
+        self.lookup(key).map(BitMetrics::to_metrics)
     }
 
-    /// Record a freshly measured grain: appended to disk (one flushed
-    /// line — a partial run loses at most the line being written) and
-    /// inserted in memory.
+    /// Record a freshly measured grain.
     ///
     /// # Panics
-    /// Panics on an unwritable store path or a poisoned mutex.
+    /// Panics on an unwritable shard or a poisoned mutex.
     pub fn record(&self, key: u64, m: Metrics) {
-        let line = serde_json::to_string(&GrainLine {
-            v: CACHE_VERSION,
-            k: key,
-            m,
-        })
-        .expect("serialize grain");
-        {
-            let mut writer = self.writer.lock().expect("grain writer lock");
-            let file = writer.get_or_insert_with(|| {
-                if let Some(dir) = self.path.parent() {
-                    fs::create_dir_all(dir).expect("create cache dir");
-                }
-                fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.path)
-                    .expect("open grain store for append")
-            });
-            file.write_all(format!("{line}\n").as_bytes())
-                .expect("append grain");
-            file.flush().expect("flush grain");
-        }
-        self.entries
-            .lock()
-            .expect("grain store lock")
-            .insert(key, m);
+        self.insert(key, BitMetrics::from(m));
     }
-}
-
-/// One persisted derived result (a JSONL line).
-#[derive(Debug, Serialize, Deserialize)]
-struct DerivedLine {
-    v: u32,
-    k: u64,
-    /// The serde-encoded payload (controller outcome, mix outcome, ...).
-    val: Content,
-}
-
-/// An append-only on-disk store of derived results — controller and mix
-/// outcomes keyed by [`derived_key`]. Same durability and tolerance
-/// story as [`GrainStore`].
-#[derive(Debug)]
-pub struct DerivedStore {
-    path: PathBuf,
-    entries: Mutex<HashMap<u64, Content>>,
-    writer: Mutex<Option<fs::File>>,
 }
 
 impl DerivedStore {
-    /// Open (or create-on-first-write) the store at `path`.
-    #[must_use]
-    pub fn open(path: PathBuf) -> DerivedStore {
-        let entries = load_jsonl::<DerivedLine>(&path, |l| l.v)
-            .into_iter()
-            .map(|l| (l.k, l.val))
-            .collect();
-        DerivedStore {
-            path,
-            entries: Mutex::new(entries),
-            writer: Mutex::new(None),
-        }
-    }
-
     /// The cached value for `key` decoded as `T`; a value that fails to
     /// decode (schema drift without a version bump) counts as corrupt
     /// and is re-computed.
@@ -272,57 +254,26 @@ impl DerivedStore {
     /// Panics if the store mutex is poisoned.
     #[must_use]
     pub fn get_as<T: Deserialize>(&self, key: u64) -> Option<T> {
-        let val = self
-            .entries
-            .lock()
-            .expect("derived store lock")
-            .get(&key)
-            .cloned()?;
+        let val = self.lookup(key)?;
         match T::deserialize_content(&val) {
             Ok(t) => Some(t),
             Err(_) => {
                 pipeline_stats().add_corrupt_discarded(1);
                 eprintln!(
                     "note: cached derived result {key:#018x} in {} failed to decode; re-computing",
-                    self.path.display()
+                    self.dir.display()
                 );
                 None
             }
         }
     }
 
-    /// Record a derived result (appended + flushed).
+    /// Record a derived result.
     ///
     /// # Panics
-    /// Panics on an unwritable store path or a poisoned mutex.
+    /// Panics on an unwritable shard or a poisoned mutex.
     pub fn record<T: Serialize>(&self, key: u64, value: &T) {
-        let val = value.serialize_content();
-        let line = serde_json::to_string(&DerivedLine {
-            v: CACHE_VERSION,
-            k: key,
-            val: val.clone(),
-        })
-        .expect("serialize derived line");
-        {
-            let mut writer = self.writer.lock().expect("derived writer lock");
-            let file = writer.get_or_insert_with(|| {
-                if let Some(dir) = self.path.parent() {
-                    fs::create_dir_all(dir).expect("create cache dir");
-                }
-                fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.path)
-                    .expect("open derived store for append")
-            });
-            file.write_all(format!("{line}\n").as_bytes())
-                .expect("append derived result");
-            file.flush().expect("flush derived result");
-        }
-        self.entries
-            .lock()
-            .expect("derived store lock")
-            .insert(key, val);
+        self.insert(key, value.serialize_content());
     }
 
     /// Serve `key` from the cache or compute, record, and return it.
@@ -352,48 +303,30 @@ pub fn data_dir() -> PathBuf {
     std::env::var_os("MCT_DATA_DIR").map_or_else(|| PathBuf::from("data"), PathBuf::from)
 }
 
-/// Grain stores are sharded per (workload, scale tag, seed) purely to
-/// keep files reviewable; identity lives in the per-grain keys.
-fn grain_store_path(dir: &Path, workload: Workload, scale: Scale, seed: u64) -> PathBuf {
-    dir.join(format!(
-        "grains_{}_{}_seed{}.jsonl",
-        workload.name(),
-        scale.tag(),
-        seed
-    ))
-}
+/// Process-wide shard pool, keyed by directory: every figure in a run
+/// shares one loaded copy of each shard (and its one writer).
+type Pool<V> = Mutex<HashMap<PathBuf, Arc<Store<V>>>>;
 
-fn derived_store_path(dir: &Path, scale: Scale, seed: u64) -> PathBuf {
-    dir.join(format!("derived_{}_seed{}.jsonl", scale.tag(), seed))
-}
-
-/// Process-wide store pool, keyed by path: every figure in a run shares
-/// one loaded copy of each store (and its append handle).
-fn grain_pool() -> &'static Mutex<HashMap<PathBuf, Arc<GrainStore>>> {
-    static POOL: OnceLock<Mutex<HashMap<PathBuf, Arc<GrainStore>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn derived_pool() -> &'static Mutex<HashMap<PathBuf, Arc<DerivedStore>>> {
-    static POOL: OnceLock<Mutex<HashMap<PathBuf, Arc<DerivedStore>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(HashMap::new()))
+fn pooled<V: Serialize + Deserialize + Clone>(pool: &Pool<V>, dir: PathBuf) -> Arc<Store<V>> {
+    Arc::clone(
+        pool.lock()
+            .expect("cache pool lock")
+            .entry(dir.clone())
+            .or_insert_with(|| Arc::new(Store::open(dir))),
+    )
 }
 
 /// The shared grain store for (workload, scale, seed) under the current
-/// data dir.
+/// data dir. Shards split per (workload, scale tag, seed) only to keep
+/// them small; identity lives in the per-grain keys.
 ///
 /// # Panics
 /// Panics if the pool mutex is poisoned.
 #[must_use]
 pub fn grain_store(workload: Workload, scale: Scale, seed: u64) -> Arc<GrainStore> {
-    let path = grain_store_path(&data_dir(), workload, scale, seed);
-    Arc::clone(
-        grain_pool()
-            .lock()
-            .expect("grain pool lock")
-            .entry(path.clone())
-            .or_insert_with(|| Arc::new(GrainStore::open(path))),
-    )
+    static POOL: OnceLock<Pool<BitMetrics>> = OnceLock::new();
+    let name = format!("grains_{}_{}_seed{seed}", workload.name(), scale.tag());
+    pooled(POOL.get_or_init(Pool::default), data_dir().join(name))
 }
 
 /// The shared derived-result store for (scale, seed) under the current
@@ -403,14 +336,9 @@ pub fn grain_store(workload: Workload, scale: Scale, seed: u64) -> Arc<GrainStor
 /// Panics if the pool mutex is poisoned.
 #[must_use]
 pub fn derived_store(scale: Scale, seed: u64) -> Arc<DerivedStore> {
-    let path = derived_store_path(&data_dir(), scale, seed);
-    Arc::clone(
-        derived_pool()
-            .lock()
-            .expect("derived pool lock")
-            .entry(path.clone())
-            .or_insert_with(|| Arc::new(DerivedStore::open(path))),
-    )
+    static POOL: OnceLock<Pool<Content>> = OnceLock::new();
+    let name = format!("derived_{}_seed{seed}", scale.tag());
+    pooled(POOL.get_or_init(Pool::default), data_dir().join(name))
 }
 
 /// A cached brute-force sweep for one workload (assembled per request
@@ -480,11 +408,11 @@ struct MissGrain {
 /// Returned datasets are index-parallel with `requests`, and the
 /// metrics for a given grain are bit-identical whether served from
 /// cache or measured fresh (measurement is deterministic per grain and
-/// JSON round-trips f64s exactly).
+/// the shards store exact f64 bits).
 ///
 /// # Panics
-/// Panics on unwritable cache directories (delete the store file to
-/// recover from anything else — loading is tolerant).
+/// Panics on unwritable cache directories (a damaged shard is
+/// recreated, not fatal).
 #[must_use]
 pub fn load_or_compute_sweeps(
     requests: &[SweepRequest],
@@ -694,80 +622,104 @@ mod tests {
         );
     }
 
+    fn metrics_bits(m: Metrics) -> [u64; 3] {
+        [
+            m.ipc.to_bits(),
+            m.lifetime_years.to_bits(),
+            m.energy_j.to_bits(),
+        ]
+    }
+
     #[test]
     fn grain_store_appends_and_reloads() {
-        let dir = std::env::temp_dir().join(format!("mct_grains_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let path = dir.join("grains_test.jsonl");
+        let tmp = mct_persist::TempDir::new("mct-grains");
+        let dir = tmp.join("grains_test");
         let m = Metrics {
             ipc: 1.5,
             lifetime_years: 7.25,
             energy_j: 0.125,
         };
         {
-            let store = GrainStore::open(path.clone());
+            let store = GrainStore::open(dir.clone());
             assert!(store.is_empty());
             store.record(1, m);
             store.record(2, m);
             assert_eq!(store.len(), 2);
         }
-        let store = GrainStore::open(path);
+        let store = GrainStore::open(dir);
         assert_eq!(store.len(), 2);
         assert_eq!(store.get(1), Some(m));
         assert_eq!(store.get(3), None);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn stale_and_corrupt_lines_are_discarded_not_fatal() {
-        let dir = std::env::temp_dir().join(format!("mct_stale_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("grains_test.jsonl");
-        let good = serde_json::to_string(&GrainLine {
-            v: CACHE_VERSION,
-            k: 7,
-            m: Metrics {
-                ipc: 1.0,
-                lifetime_years: 2.0,
-                energy_j: 3.0,
-            },
+    fn non_finite_grains_round_trip_bit_identical() {
+        // A window that wore nothing projects an infinite lifetime; the
+        // cache must serve it back as +inf, not NaN.
+        let tmp = mct_persist::TempDir::new("mct-grains-inf");
+        let dir = tmp.join("grains_inf");
+        let m = Metrics {
+            ipc: 0.75,
+            lifetime_years: f64::INFINITY,
+            energy_j: 0.5,
+        };
+        GrainStore::open(dir.clone()).record(9, m);
+        let hit = GrainStore::open(dir).get(9).expect("persisted grain");
+        assert_eq!(metrics_bits(hit), metrics_bits(m));
+    }
+
+    #[test]
+    fn stale_and_undecodable_frames_are_discarded_not_fatal() {
+        let tmp = mct_persist::TempDir::new("mct-grains-stale");
+        let dir = tmp.join("grains_test");
+        let frame = |v: u32, k: u64, val: Content| {
+            serde_json::to_string(&Entry { v, k, val }).expect("serialize")
+        };
+        let good = BitMetrics::from(Metrics {
+            ipc: 1.0,
+            lifetime_years: 2.0,
+            energy_j: 3.0,
         })
-        .expect("serialize");
-        let stale = good.replace(
-            &format!("\"v\":{CACHE_VERSION}"),
-            &format!("\"v\":{}", CACHE_VERSION - 1),
-        );
-        assert_ne!(good, stale, "fixture must actually change the version");
-        let truncated = &good[..good.len() / 2];
-        fs::write(&path, format!("{good}\n{stale}\nnot json\n{truncated}")).expect("write fixture");
+        .serialize_content();
+        let mut log = StateStore::create(&dir).expect("create shard");
+        for payload in [
+            frame(CACHE_VERSION, 7, good.clone()),
+            frame(CACHE_VERSION - 1, 8, good),
+            "not json".to_string(),
+            frame(CACHE_VERSION, 9, Content::Str("not metrics".into())),
+        ] {
+            log.append(payload.as_bytes()).expect("append");
+        }
+        drop(log);
+        // A killed append leaves a partial frame header behind.
+        let wal = dir.join("wal.bin");
+        let mut bytes = std::fs::read(&wal).expect("read wal");
+        bytes.extend_from_slice(&[0xAB; 5]);
+        std::fs::write(&wal, bytes).expect("tear wal");
 
         let before = pipeline_stats().snapshot();
-        let store = GrainStore::open(path);
+        let store = GrainStore::open(dir);
         let after = pipeline_stats().snapshot();
-        assert_eq!(store.len(), 1, "only the good line survives");
+        assert_eq!(store.len(), 1, "only the good frame survives");
         assert!(store.get(7).is_some());
         assert_eq!(after.stale_discarded - before.stale_discarded, 1);
-        assert_eq!(after.corrupt_discarded - before.corrupt_discarded, 2);
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(after.corrupt_discarded - before.corrupt_discarded, 3);
     }
 
     #[test]
     fn derived_store_round_trips_values() {
-        let dir = std::env::temp_dir().join(format!("mct_derived_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let path = dir.join("derived_test.jsonl");
+        let tmp = mct_persist::TempDir::new("mct-derived");
+        let dir = tmp.join("derived_test");
         let key = derived_key("mix/all", 9, &[1.0, 2.5]);
         assert_ne!(key, derived_key("mix/all", 9, &[1.0, 2.0]));
         assert_ne!(key, derived_key("mix/other", 9, &[1.0, 2.5]));
         {
-            let store = DerivedStore::open(path.clone());
+            let store = DerivedStore::open(dir.clone());
             let v: Vec<f64> = store.get_or_compute(key, || vec![1.0, 2.0, 3.0]);
             assert_eq!(v, vec![1.0, 2.0, 3.0]);
         }
-        let store = DerivedStore::open(path);
+        let store = DerivedStore::open(dir);
         let v: Vec<f64> = store.get_or_compute(key, || panic!("must be served from disk"));
         assert_eq!(v, vec![1.0, 2.0, 3.0]);
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -131,7 +131,13 @@ pub fn scan(src: &str) -> Scanned {
                 i += 1;
                 while i < len {
                     match bytes[i] {
-                        b'\\' => i += 2,
+                        b'\\' => {
+                            // A `\` line continuation still ends a line.
+                            if bytes.get(i + 1) == Some(&b'\n') {
+                                line += 1;
+                            }
+                            i += 2;
+                        }
                         b'"' => {
                             i += 1;
                             break;
@@ -364,6 +370,13 @@ mod tests {
         let toks = tokenize(&s.code);
         let foo = toks.iter().find(|t| t.text == "foo").unwrap();
         assert_eq!(foo.line, 3);
+    }
+
+    #[test]
+    fn string_line_continuation_keeps_comment_lines() {
+        let src = "let s = \"one \\\n two\";\n// after\nfoo();";
+        let s = scan(src);
+        assert_eq!(s.comments[0].line, 3);
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! # mct-persist — crash-safe controller state
+//! # mct-persist — crash-safe controller state and experiment caches
 //!
 //! A versioned, checksummed write-ahead log + snapshot scheme for the MCT
-//! controller's durable state (ROADMAP item 2). The crate is deliberately
-//! schema-agnostic: it stores opaque serde-JSON payloads, and the typed
-//! record vocabulary (wear deltas, fitted models, ladder position) lives
-//! in `mct-core::persist` so the dependency arrow points framework →
+//! controller's durable state and for the experiment harness's grain and
+//! derived-result caches. The crate is deliberately schema-agnostic: it
+//! stores opaque serde-JSON payloads, and the typed vocabularies live
+//! with their users — the controller's records (wear deltas, fitted
+//! models, ladder position) in `mct-core::persist`, the cache entries in
+//! `mct-experiments::cache` — so the dependency arrow points framework →
 //! durability, never back.
 //!
 //! ## On-disk layout
@@ -67,44 +69,6 @@ pub use tempdir::TempDir;
 
 use std::fmt;
 use std::io;
-
-use serde::{Deserialize, Serialize};
-
-/// An `f64` carried as its IEEE-754 bit pattern.
-///
-/// The vendored JSON layer writes non-finite floats as `null` (JSON has no
-/// `Infinity` literal), which would silently turn an infinite projected
-/// lifetime into `NaN` on replay. Persisted metrics therefore travel as
-/// `u64` bit patterns: every value — including infinities and NaNs —
-/// round-trips bit-identically, which is the recovery contract's currency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BitF64(pub u64);
-
-impl BitF64 {
-    /// Capture a float's exact bit pattern.
-    #[must_use]
-    pub fn from_f64(v: f64) -> BitF64 {
-        BitF64(v.to_bits())
-    }
-
-    /// The original float, bit-for-bit.
-    #[must_use]
-    pub fn value(self) -> f64 {
-        f64::from_bits(self.0)
-    }
-}
-
-impl From<f64> for BitF64 {
-    fn from(v: f64) -> BitF64 {
-        BitF64::from_f64(v)
-    }
-}
-
-impl From<BitF64> for f64 {
-    fn from(v: BitF64) -> f64 {
-        v.value()
-    }
-}
 
 /// FNV-1a 64-bit over `bytes`.
 ///

@@ -881,19 +881,20 @@ mod tests {
         #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
         struct Rec {
             idx: u64,
-            bits: crate::BitF64,
+            bits: u64,
         }
         let tmp = TempDir::new("mct-persist-json");
         let mut store = StateStore::create(tmp.path()).unwrap();
         let written: Vec<Rec> = (0..4)
             .map(|i| Rec {
                 idx: i,
-                // Include non-finite values: BitF64 must carry them.
-                bits: crate::BitF64::from_f64(if i == 3 {
+                // Include non-finite values: raw bit patterns carry them.
+                bits: if i == 3 {
                     f64::INFINITY
                 } else {
                     0.1 * i as f64
-                }),
+                }
+                .to_bits(),
             })
             .collect();
         for r in &written {
@@ -903,7 +904,7 @@ mod tests {
         let replay = StateStore::replay_dir(tmp.path()).unwrap();
         let read: Vec<Rec> = replay.decode_records().unwrap();
         assert_eq!(read, written);
-        assert!(read[3].bits.value().is_infinite());
+        assert!(f64::from_bits(read[3].bits).is_infinite());
     }
 
     #[test]

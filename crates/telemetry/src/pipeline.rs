@@ -93,36 +93,6 @@ impl PipelineSnapshot {
         }
     }
 
-    /// Merge another snapshot into this one (used to aggregate the
-    /// per-process snapshots of a multi-process pipeline run).
-    pub fn merge(&mut self, other: &PipelineSnapshot) {
-        self.grains_executed += other.grains_executed;
-        self.grains_stolen += other.grains_stolen;
-        self.cache_hits += other.cache_hits;
-        self.stale_discarded += other.stale_discarded;
-        self.corrupt_discarded += other.corrupt_discarded;
-        self.rig_warmups += other.rig_warmups;
-        self.rig_reuses += other.rig_reuses;
-        self.rig_clones += other.rig_clones;
-        self.warmup_us += other.warmup_us;
-        self.clone_us += other.clone_us;
-        self.snapshot_bytes += other.snapshot_bytes;
-        self.sched_rounds += other.sched_rounds;
-        if self.workers.len() < other.workers.len() {
-            self.workers
-                .resize(other.workers.len(), WorkerStat::default());
-        }
-        for (mine, theirs) in self.workers.iter_mut().zip(&other.workers) {
-            mine.executed += theirs.executed;
-            mine.stolen += theirs.stolen;
-            mine.busy_us += theirs.busy_us;
-            mine.wall_us += theirs.wall_us;
-        }
-        if self.workers_fallback.is_empty() {
-            self.workers_fallback = other.workers_fallback.clone();
-        }
-    }
-
     /// Pour this snapshot into a metrics [`Registry`](crate::Registry)
     /// as `pipeline.*` counters, with per-worker scheduler series
     /// labeled `{worker="<index>"}` — the bridge that makes pipeline
@@ -272,24 +242,6 @@ impl PipelineStats {
             workers_fallback: lock_recovering(&self.workers_fallback).clone(),
         }
     }
-
-    /// Reset every counter to zero (tests and run-scoped accounting).
-    pub fn reset(&self) {
-        self.grains_executed.store(0, Ordering::Relaxed);
-        self.grains_stolen.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.stale_discarded.store(0, Ordering::Relaxed);
-        self.corrupt_discarded.store(0, Ordering::Relaxed);
-        self.rig_warmups.store(0, Ordering::Relaxed);
-        self.rig_reuses.store(0, Ordering::Relaxed);
-        self.rig_clones.store(0, Ordering::Relaxed);
-        self.warmup_us.store(0, Ordering::Relaxed);
-        self.clone_us.store(0, Ordering::Relaxed);
-        self.snapshot_bytes.store(0, Ordering::Relaxed);
-        self.sched_rounds.store(0, Ordering::Relaxed);
-        lock_recovering(&self.workers).clear();
-        lock_recovering(&self.workers_fallback).clear();
-    }
 }
 
 /// Lock a stats mutex, recovering from poisoning: a panic in one
@@ -335,34 +287,6 @@ mod tests {
         assert_eq!(snap.workers.len(), 2);
         assert!((snap.workers[0].busy_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(snap.sched_rounds, 1);
-        stats.reset();
-        assert_eq!(stats.snapshot(), PipelineSnapshot::default());
-    }
-
-    #[test]
-    fn merge_sums_fields_and_workers() {
-        let mut a = PipelineSnapshot {
-            grains_executed: 1,
-            cache_hits: 2,
-            workers: vec![WorkerStat {
-                executed: 1,
-                stolen: 0,
-                busy_us: 10,
-                wall_us: 20,
-            }],
-            ..PipelineSnapshot::default()
-        };
-        let b = PipelineSnapshot {
-            grains_executed: 4,
-            stale_discarded: 2,
-            workers: vec![WorkerStat::default(), WorkerStat::default()],
-            ..PipelineSnapshot::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.grains_executed, 5);
-        assert_eq!(a.stale_discarded, 2);
-        assert_eq!(a.workers.len(), 2);
-        assert_eq!(a.workers[0].executed, 1);
     }
 
     #[test]
@@ -379,31 +303,12 @@ mod tests {
     }
 
     #[test]
-    fn workers_fallback_first_reason_wins_and_resets() {
+    fn workers_fallback_first_reason_wins() {
         let stats = PipelineStats::default();
         assert_eq!(stats.snapshot().workers_fallback, "");
         stats.set_workers_fallback("MCT_WORKERS=0 rejected");
         stats.set_workers_fallback("a later reason");
         assert_eq!(stats.snapshot().workers_fallback, "MCT_WORKERS=0 rejected");
-        stats.reset();
-        assert_eq!(stats.snapshot().workers_fallback, "");
-    }
-
-    #[test]
-    fn merge_keeps_first_nonempty_fallback() {
-        let mut a = PipelineSnapshot::default();
-        let b = PipelineSnapshot {
-            workers_fallback: "from process b".to_string(),
-            ..PipelineSnapshot::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.workers_fallback, "from process b");
-        let c = PipelineSnapshot {
-            workers_fallback: "from process c".to_string(),
-            ..PipelineSnapshot::default()
-        };
-        a.merge(&c);
-        assert_eq!(a.workers_fallback, "from process b");
     }
 
     #[test]
