@@ -22,6 +22,7 @@ use mct_sim::fault::FaultPlan;
 use mct_sim::stats::{Metrics, RunStats};
 use mct_sim::system::{System, SystemConfig};
 use mct_sim::trace::AccessSource;
+use mct_sim::wear::WearSnapshot;
 use mct_telemetry::{RecorderHandle, Telemetry};
 
 use crate::config::NvmConfig;
@@ -29,9 +30,9 @@ use crate::degrade::{DegradationAction, DegradationLadder};
 use crate::objective::Objective;
 use crate::optimizer::{optimize, OptimizationResult};
 use crate::persist::{
-    config_digest, PersistConfig, PersistSession, StateRecord, SNAPSHOT_MODEL_SLOTS,
+    config_digest, PersistConfig, PersistSession, PredictorState, StateRecord, SNAPSHOT_MODEL_SLOTS,
 };
-use crate::phase::{PhaseDetector, PhaseDetectorConfig};
+use crate::phase::{phase_signature, PhaseDetector, PhaseDetectorConfig};
 use crate::predictor::{lasso_feature_report, MetricsPredictor, ModelKind};
 use crate::sampling::{feature_based_samples, random_samples, with_anchors};
 use crate::space::ConfigSpace;
@@ -277,6 +278,701 @@ impl Outcome {
     }
 }
 
+/// One [`Controller::run`] in progress: the controller and the access
+/// source it drives, plus everything the run carries from stage to stage
+/// and segment to segment. Its stage methods advance it in the paper's
+/// order.
+struct RunState<'a, S> {
+    ctl: &'a mut Controller,
+    source: &'a mut S,
+    sys: System,
+    /// The measured-instruction clock: instructions run since warmup, and
+    /// the `sim_insts` of every span edge and transition.
+    executed: u64,
+    detector: PhaseDetector,
+    /// The degradation ladder outlives segments: faults persist across
+    /// phase boundaries, so escalation must not reset on re-sample.
+    ladder: DegradationLadder,
+    /// Recently fitted predictors, each keyed by the measured workload
+    /// intensity (accesses/kinst) at fit time: a new segment whose
+    /// intensity stays within a quarter octave of a banked fit (and whose
+    /// health record is clean) reuses that model instead of refitting —
+    /// alternating phases (ocean's A→B→A) hit the bank on every return.
+    /// Entries anchor on the intensity *at fit time*, so slow drift
+    /// cannot ratchet an elided model arbitrarily far from the phase it
+    /// was trained on. Dropped wholesale whenever the ladder forces a
+    /// refit or a revert — the banked models no longer describe how the
+    /// system behaves.
+    fit_bank: Vec<(f64, MetricsPredictor)>,
+    /// Warm start: a clean prior run's fitted models pre-seed the bank.
+    /// While the controller coasts on them (until the first fresh fit or
+    /// ladder action), segments that hit the bank skip their sampling
+    /// period outright — the `--resume` acceptance criterion. A different
+    /// workload behind the same config would be caught by the health
+    /// checks, exactly as a stale banked fit would mid-run.
+    warm_coasting: bool,
+    /// Did every health check in the *previous* segment pass? A failed
+    /// check means the banked model misjudged this regime, so the next
+    /// segment must refit even if the intensity still matches.
+    last_segment_healthy: bool,
+    sampling: MetricAccum,
+    testing: MetricAccum,
+    last_baseline: Metrics,
+    chosen: NvmConfig,
+    segments: Vec<SegmentReport>,
+}
+
+/// One segment's working set, handed from stage to stage.
+#[derive(Default)]
+struct Segment {
+    index: u64,
+    /// The phase's memory workload, accesses per kilo-instruction.
+    apki: f64,
+    /// The bank entry this phase matches, if any.
+    bank_slot: Option<usize>,
+    fit_elided: bool,
+    warm_started: bool,
+    /// The fit's training set: each sample configuration with its
+    /// cyclically sampled metrics.
+    samples: Vec<(NvmConfig, Metrics)>,
+    sampling: MetricAccum,
+    testing: MetricAccum,
+    /// Health-check reference: accumulated windows of the *actual*
+    /// baseline (with its wear quota). The sampled anchor is quota-free
+    /// and would read systematically fast.
+    health_baseline: MetricAccum,
+    health_checks: u32,
+    check_failed: bool,
+    health_fallback: bool,
+}
+
+impl Segment {
+    /// The segment's fit record, carrying `model` for a fresh fit.
+    fn fit_completed(&self, model: Option<PredictorState>) -> StateRecord {
+        StateRecord::FitCompleted {
+            segment: self.index,
+            elided: self.fit_elided,
+            apki: self.apki.to_bits(),
+            signature: phase_signature(self.apki),
+            model,
+        }
+    }
+}
+
+impl<S: AccessSource> RunState<'_, S> {
+    /// Run one stage inside a span named `name`: the span opens at the
+    /// measured-instruction clock the stage starts from and closes at the
+    /// clock it leaves behind, so the span tree is the stage structure.
+    /// The only place the controller opens spans, apart from `measure`'s
+    /// `sim.window` leaf.
+    fn staged<R>(
+        &mut self,
+        name: &'static str,
+        labels: &[(&str, &str)],
+        body: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let span = self.ctl.telemetry.span_with(name, self.executed, labels);
+        let out = body(self);
+        self.ctl.telemetry.close_span(span, self.executed);
+        out
+    }
+
+    /// Open the run: the state store, the `RunStarted` record, warmup,
+    /// the fault plan and the warm-start bank.
+    ///
+    /// Opening the store replays any existing log: a clean prior run arms
+    /// the warm-start bank; an interrupted one becomes a verification
+    /// prefix — the controller re-executes from instruction zero and,
+    /// while inside the prefix, every durable record it emits is compared
+    /// against the log instead of appended, so recovery provably
+    /// converges on the pre-crash trajectory before any new state is
+    /// persisted.
+    fn start(&mut self) {
+        let cfg = &self.ctl.cfg;
+        let run_started = (cfg.persist.is_some() || self.ctl.telemetry.enabled()).then(|| {
+            StateRecord::RunStarted {
+                schema: crate::persist::STATE_SCHEMA_VERSION,
+                seed: cfg.seed,
+                model: cfg.model,
+                total_insts: cfg.total_insts,
+                config_digest: config_digest(cfg),
+            }
+        });
+        if let (Some(pcfg), Some(started)) = (cfg.persist.clone(), &run_started) {
+            self.staged("persist.open", &[], |st| {
+                st.ctl.persist = match PersistSession::begin(&pcfg, started) {
+                    Ok(session) => Some(session),
+                    // mct-tidy: allow(P002) -- documented `# Panics` contract: an unrecoverable store must fail loudly
+                    Err(e) => panic!("persist: cannot begin session in {}: {e}", pcfg.dir),
+                };
+            });
+        }
+        if let Some(started) = run_started {
+            self.ctl.emit(0, || started);
+        }
+        // Span clocks stay at 0 through warmup: the trace's `sim_insts` is
+        // the *measured* instruction clock (`executed`), which starts after
+        // warmup. Wall time still captures the warmup cost.
+        self.staged("warmup", &[], |st| {
+            st.sys.warmup(st.source, st.ctl.cfg.warmup_insts);
+        });
+        // Faults arm after warmup, so plan timestamps are relative to the
+        // start of the measured region (validated in `Controller::new`).
+        if let Some(plan) = self.ctl.cfg.fault_plan.clone() {
+            self.staged("fault.arm", &[], |st| st.sys.arm_faults(&plan));
+        }
+        // Warm start: a clean prior run's models pre-seed the fit bank.
+        if let Some(session) = self.ctl.persist.as_mut() {
+            for (apki_bits, state) in session.take_warm_bank() {
+                if self.fit_bank.len() < SNAPSHOT_MODEL_SLOTS {
+                    let predictor = MetricsPredictor::from_state(state);
+                    self.fit_bank.push((f64::from_bits(apki_bits), predictor));
+                    self.warm_coasting = true;
+                }
+            }
+            let replayed_records = session.replayed() as u64;
+            self.ctl.emit(0, || StateRecord::PersistRecovered {
+                replayed_records,
+                warm_start: self.warm_coasting,
+                restored_models: self.fit_bank.len() as u64,
+            });
+        }
+    }
+
+    /// One sampling→optimize→test cycle (one detected phase), in the
+    /// paper's order.
+    fn segment(&mut self) {
+        let index = self.segments.len() as u64;
+        let label = index.to_string();
+        let report = self.staged("segment", &[("segment", &label)], |st| {
+            let executed = st.executed;
+            st.ctl.emit(executed, || StateRecord::SegmentStarted {
+                segment: index,
+                executed,
+            });
+            let apki = st.baseline(index);
+            let mut seg = st.sample(index, apki);
+            let predictions = st.fit_or_reuse(&seg);
+            let mut opt = st.decide(index, &predictions);
+            let meter = st.test(&mut seg, &mut opt);
+            st.close_segment(&seg, opt, meter)
+        });
+        self.segments.push(report);
+    }
+
+    /// Measure the static baseline, the segment's normalization
+    /// reference. Returns the phase's memory workload in accesses per
+    /// kilo-instruction.
+    fn baseline(&mut self, segment: u64) -> f64 {
+        let (stats, extended) = self.staged("baseline", &[], |st| {
+            let (config, insts) = (st.ctl.baseline_config, st.ctl.cfg.baseline_insts);
+            let mut stats = st.measure(config, insts);
+            // Sparse phases need a longer window before the measurement
+            // means anything; extend until ~1000 accesses were observed.
+            let observed = stats.mem.reads_completed + stats.mem.writes_completed();
+            let extended = observed < 1_000 && observed > 0;
+            if extended {
+                stats = st.measure(config, insts * (1_000 / observed.max(50)).min(50));
+                st.executed += stats.instructions;
+            }
+            st.executed += insts;
+            st.last_baseline = stats.metrics();
+            (stats, extended)
+        });
+        if self.ctl.telemetry.enabled() {
+            for (name, v) in stats.mem_counter_snapshot() {
+                self.ctl
+                    .telemetry
+                    .observe(&format!("mem.baseline.{name}"), v as f64);
+            }
+        }
+        self.ctl
+            .emit(self.executed, || StateRecord::BaselineMeasured {
+                segment,
+                metrics: self.last_baseline.into(),
+                insts: stats.instructions,
+                extended,
+            });
+        stats.mem_accesses_per_kinst().max(0.5)
+    }
+
+    /// The sampling period: cyclic fine-grained sampling of every sample
+    /// configuration (Section 5.2), skipped on a warm start.
+    fn sample(&mut self, index: u64, apki: f64) -> Segment {
+        let bank_slot = self.bank_slot(apki);
+        let fit_elided =
+            self.ctl.cfg.refit_elision && self.last_segment_healthy && bank_slot.is_some();
+        let mut seg = Segment {
+            index,
+            apki,
+            bank_slot,
+            fit_elided,
+            // Still coasting on restored models and this segment's
+            // intensity hits the bank: skip the sampling period outright
+            // (`sampling_insts` stays 0, the `--resume` acceptance
+            // criterion).
+            warm_started: self.warm_coasting && fit_elided,
+            ..Segment::default()
+        };
+        if seg.warm_started {
+            // The sample set stays empty (an all-zero one would poison a
+            // later ladder-forced refit), and with no anchor sample the
+            // pre-window baseline stands.
+            self.ctl.telemetry.incr("persist.sampling_skipped", 1);
+            return seg;
+        }
+        // Size the fine-grained sampling unit from the phase's mean
+        // memory workload: dense phases use small units, sparse phases
+        // larger ones, targeting ~100 accesses per unit. Many cyclic
+        // rounds spread each sample's units across the phase's bursts (the
+        // paper loops ~130 times); the sampling period is capped at ~40%
+        // of the total budget by shrinking the unit, never the round
+        // count, so burst coverage survives.
+        let cfg = &self.ctl.cfg;
+        let samples = self.ctl.samples.clone();
+        let n_samples = samples.len() as u64;
+        let rounds = cfg.sampling_rounds.max(1) as u64;
+        let unit_insts = cfg
+            .sample_unit_insts
+            .max((100.0 / apki * 1e3) as u64)
+            .min((cfg.total_insts as f64 * 0.4) as u64 / (n_samples * rounds))
+            .max(1_000);
+        let mut accums = vec![MetricAccum::default(); samples.len()];
+        self.staged("sampling", &[], |st| {
+            for round in 0..rounds {
+                st.staged("sampling.round", &[], |st| {
+                    for (config, accum) in samples.iter().zip(&mut accums) {
+                        let stats = st.measure(*config, unit_insts);
+                        st.executed += stats.instructions;
+                        accum.add(&stats);
+                        seg.sampling.add(&stats);
+                        st.sampling.add(&stats);
+                    }
+                });
+                st.ctl.emit(st.executed, || StateRecord::SamplingRound {
+                    segment: index,
+                    round,
+                    total_rounds: rounds,
+                    samples: n_samples,
+                    unit_insts,
+                });
+            }
+        });
+        seg.samples = samples
+            .iter()
+            .zip(&accums)
+            .map(|(c, a)| (*c, self.metrics(a)))
+            .collect();
+        // Normalize to the *cyclically sampled* baseline anchor: the
+        // pre-window baseline can land inside a single burst phase, while
+        // the anchor sample saw the same phase mixture as every other
+        // sample (the whole point of cyclic fine-grained sampling).
+        let anchor = NvmConfig::static_baseline().without_wear_quota();
+        if let Some(idx) = samples.iter().position(|c| *c == anchor) {
+            self.last_baseline = self.metrics(&accums[idx]);
+        }
+        seg
+    }
+
+    /// Fit the predictor on the segment's samples and bank it — or, on an
+    /// elided segment, reuse the banked fit — then predict the whole
+    /// space (wear quota excluded per Section 4.4).
+    fn fit_or_reuse(&mut self, seg: &Segment) -> Vec<Metrics> {
+        let slot = if seg.fit_elided {
+            // Same phase, clean health record: the banked predictor still
+            // describes this phase. No fit span, no diagnostics refits.
+            self.ctl.emit(self.executed, || seg.fit_completed(None));
+            self.ctl.telemetry.incr("fit.elided", 1);
+            // mct-tidy: allow(P003) -- fit_elided implies a banked hit
+            seg.bank_slot.expect("elision requires a cached fit")
+        } else {
+            // Crash recovery: a fresh fit inside the replayed prefix
+            // restores its persisted model instead of refitting, pinning
+            // the save/restore path to the bit-identical-decisions
+            // contract on every recovery (not only in unit tests).
+            let restored = self
+                .ctl
+                .persist
+                .as_ref()
+                .and_then(|s| s.replayed_fit(seg.index))
+                .map(MetricsPredictor::from_state);
+            let learner = self.ctl.cfg.model.short_label();
+            let predictor = self.staged("fit", &[("learner", learner)], |st| {
+                if restored.is_some() {
+                    st.ctl.telemetry.incr("persist.models_restored", 1);
+                }
+                let predictor = restored.unwrap_or_else(|| st.fit(&seg.samples));
+                // The first fresh fit ends warm coasting: from here the
+                // bank is the controller's own, and sampling resumes its
+                // normal cadence.
+                st.warm_coasting = false;
+                st.ctl
+                    .emit(st.executed, || seg.fit_completed(predictor.save_state()));
+                predictor
+            });
+            self.bank(seg.bank_slot, seg.apki, predictor)
+        };
+        let predictions = self.staged("predict", &[], |st| {
+            st.fit_bank[slot].1.predict_all(&st.ctl.space)
+        });
+        // Diagnostics-only work (k-fold refits, a lasso report) runs
+        // solely when a recorder is attached.
+        if !seg.fit_elided && self.ctl.telemetry.enabled() {
+            let (model, predictor) = (self.ctl.cfg.model, &self.fit_bank[slot].1);
+            self.ctl.emit(self.executed, || StateRecord::FitDiagnosed {
+                segment: seg.index,
+                n_samples: seg.samples.len() as u64,
+                cv_r2_ipc: predictor.cv_r2_ipc(&seg.samples, 4),
+                lasso_features: lasso_support(model, &seg.samples),
+            });
+        }
+        predictions
+    }
+
+    /// Constrained optimization plus the wear-quota fixup (Section 5.3);
+    /// the choice becomes the configuration under test.
+    fn decide(&mut self, segment: u64, predictions: &[Metrics]) -> OptimizationResult {
+        let opt = self.staged("decide", &[], |st| st.choose(predictions));
+        if opt.fell_back {
+            self.ctl.telemetry.incr("optimizer_fallbacks", 1);
+        }
+        self.ctl
+            .emit(self.executed, || decision(segment, &opt, false));
+        opt
+    }
+
+    /// The testing period (Section 5.4): run the choice window by window,
+    /// feeding the phase detector and health-checking against the
+    /// baseline, until the budget runs out, the phase changes, or the
+    /// ladder asks for a re-sample. Returns the wear meter over the last
+    /// measured region.
+    ///
+    /// The measured region is finalized only at health-check and phase
+    /// boundaries (not per window): finalizing drains the write queues,
+    /// and doing so every window would deflate the testing IPC relative
+    /// to the long-window methodology the static/ideal references are
+    /// measured with.
+    fn test(&mut self, seg: &mut Segment, opt: &mut OptimizationResult) -> WearSnapshot {
+        let window = self.ctl.cfg.phase.window_insts;
+        self.settle(window / 4);
+        self.detector.reset();
+        self.staged("testing", &[], |st| {
+            let mut windows: u64 = 0;
+            while st.executed < st.ctl.cfg.total_insts {
+                let before = st.sys.perf_counters();
+                st.sys.run_window(st.source, window);
+                let workload = st.sys.perf_counters().workload_since(&before) as f64;
+                st.executed += window;
+                windows += 1;
+                if st.detector.observe(workload) {
+                    st.ctl.emit(st.executed, || StateRecord::PhaseDetected {
+                        segment: seg.index,
+                        score: st.detector.last_score(),
+                        phases_detected: st.detector.phases_detected(),
+                        mean_workload: workload * 1e3 / window as f64,
+                    });
+                    st.finalize_testing(&mut seg.testing);
+                    break;
+                }
+                let every = st.ctl.cfg.health_check_every_windows;
+                if !seg.health_fallback && every > 0 && windows.is_multiple_of(every) {
+                    if st.health_check(seg, opt) {
+                        // Rung 1: abandon the testing period and restart
+                        // the segment so sampling observes the degraded
+                        // regime. Stats were finalized and reset by the
+                        // check, so the tail flush below is a no-op.
+                        break;
+                    }
+                    st.settle(window / 4);
+                }
+            }
+            // Flush the tail of the measured region.
+            let meter = st.finalize_testing(&mut seg.testing);
+            st.last_segment_healthy = !seg.check_failed;
+            meter
+        })
+    }
+
+    /// One periodic health check: run the baseline briefly and judge the
+    /// testing period against it. A failed check escalates the
+    /// degradation ladder one rung: re-sample, then refit, then the
+    /// paper's revert-to-static fallback (Section 5.4). Returns whether
+    /// the ladder asked for a re-sample.
+    fn health_check(&mut self, seg: &mut Segment, opt: &mut OptimizationResult) -> bool {
+        self.staged("health_check", &[], |st| {
+            st.finalize_testing(&mut seg.testing);
+            let hc = st.measure(st.ctl.baseline_config, st.ctl.cfg.health_check_insts);
+            st.executed += hc.instructions;
+            // Accumulate baseline health-check windows so the reference
+            // covers the same phase mixture the testing aggregate does
+            // (one window is burst-biased); only act once at least two
+            // windows accumulated.
+            seg.health_baseline.add(&hc);
+            seg.health_checks += 1;
+            let baseline = st.metrics(&seg.health_baseline);
+            let testing = st.metrics(&seg.testing);
+            let failed = DegradationLadder::reading_failed(
+                seg.health_checks,
+                testing.ipc,
+                baseline.ipc,
+                testing.lifetime_years,
+                st.ctl.objective.lifetime_floor(),
+            );
+            seg.check_failed |= failed;
+            st.ctl.emit(st.executed, || StateRecord::HealthChecked {
+                segment: seg.index,
+                check: seg.health_checks,
+                passed: !failed,
+                testing_ipc: testing.ipc.to_bits(),
+                baseline_ipc: baseline.ipc.to_bits(),
+            });
+            let (action, transition) = st.ladder.observe(failed);
+            if let Some(tr) = transition {
+                st.ctl.emit(st.executed, || StateRecord::LadderMoved {
+                    segment: seg.index,
+                    from: tr.from,
+                    to: tr.to,
+                    failures: tr.failures,
+                    lifetime_years: testing.lifetime_years.to_bits(),
+                });
+            }
+            match action {
+                DegradationAction::None => {}
+                DegradationAction::Resample => return true,
+                DegradationAction::Refit => st.refit(seg, opt, testing),
+                DegradationAction::RevertToStatic => {
+                    seg.health_fallback = true;
+                    st.chosen = st.ctl.baseline_config;
+                    st.forget_fits();
+                    st.ctl.telemetry.incr("health_fallbacks", 1);
+                }
+            }
+            false
+        })
+    }
+
+    /// The ladder's refit rung: fold the degraded testing observation into
+    /// the sample set and re-decide in place, so the model sees how the
+    /// choice actually ran.
+    fn refit(&mut self, seg: &mut Segment, opt: &mut OptimizationResult, observed: Metrics) {
+        self.staged("refit", &[], |st| {
+            seg.samples.push((st.chosen, observed));
+            let predictor = st.fit(&seg.samples);
+            *opt = st.choose(&predictor.predict_all(&st.ctl.space));
+        });
+        self.ctl
+            .emit(self.executed, || decision(seg.index, opt, true));
+        // The degraded refit mixed testing data into the sample set; it is
+        // not a clean phase fit and must never be reused by elision.
+        self.forget_fits();
+    }
+
+    /// Close a segment: its wear and completion records, the
+    /// segment-boundary snapshot, and its report.
+    fn close_segment(
+        &mut self,
+        seg: &Segment,
+        opt: OptimizationResult,
+        meter: WearSnapshot,
+    ) -> SegmentReport {
+        let testing = self.realized(&seg.testing, &seg.sampling);
+        self.ctl.emit(self.executed, || StateRecord::WearDelta {
+            segment: seg.index,
+            sampling_wear: seg.sampling.wear_units.to_bits(),
+            testing_wear: seg.testing.wear_units.to_bits(),
+            meter,
+        });
+        self.ctl
+            .emit(self.executed, || StateRecord::SegmentCompleted {
+                segment: seg.index,
+                chosen: self.chosen,
+                health_fallback: seg.health_fallback,
+                fit_elided: seg.fit_elided,
+                warm_started: seg.warm_started,
+                sampling_insts: seg.sampling.insts,
+                testing_insts: seg.testing.insts,
+                testing: testing.into(),
+            });
+        // Segment boundaries compact the log into a snapshot (a no-op
+        // while recovery is still verifying the prefix, and after an
+        // injected crash).
+        if self.ctl.persist.is_some() {
+            self.staged("persist.snapshot", &[], |st| st.ctl.checkpoint());
+        }
+        SegmentReport {
+            optimization: opt,
+            baseline: self.last_baseline,
+            sampling: self.metrics(&seg.sampling),
+            testing,
+            health_fallback: seg.health_fallback,
+            fit_elided: seg.fit_elided,
+            warm_started: seg.warm_started,
+            sampling_insts: seg.sampling.insts,
+            testing_insts: seg.testing.insts,
+        }
+    }
+
+    /// Close the run: the `RunCompleted` record and the final snapshot,
+    /// which compacts a clean run to one snapshot whose log ends in
+    /// `run_completed` — the warm-start source for the next `--resume`.
+    /// Returns the run's realized metrics.
+    fn complete(&mut self) -> Metrics {
+        let final_metrics = self.realized(&self.testing, &self.sampling);
+        self.ctl.emit(self.executed, || StateRecord::RunCompleted {
+            executed: self.executed,
+            chosen: self.chosen,
+            segments: self.segments.len() as u64,
+            final_metrics: final_metrics.into(),
+        });
+        self.ctl.checkpoint();
+        if let Some(session) = self.ctl.persist.take() {
+            let telemetry = &mut self.ctl.telemetry;
+            telemetry.incr("persist.appends", session.appends());
+            telemetry.incr("persist.snapshots", session.snapshots());
+        }
+        final_metrics
+    }
+
+    /// A fresh predictor fitted on `samples`, normalized to the baseline:
+    /// the one fit body of the segment fit and the ladder's refit.
+    fn fit(&mut self, samples: &[(NvmConfig, Metrics)]) -> MetricsPredictor {
+        let mut predictor = MetricsPredictor::new(self.ctl.cfg.model);
+        let baseline = Some(self.last_baseline);
+        predictor.fit_traced(samples, baseline, &mut self.ctl.telemetry, self.executed);
+        predictor
+    }
+
+    /// The one optimizer call: choose from `predictions` under the
+    /// objective, apply the wear-quota fixup, and make the choice the
+    /// configuration under test.
+    fn choose(&mut self, predictions: &[Metrics]) -> OptimizationResult {
+        let ctl = &self.ctl;
+        let opt = optimize(
+            &ctl.space,
+            predictions,
+            &ctl.objective,
+            ctl.baseline_config,
+            ctl.cfg.quota_fixup,
+        );
+        self.chosen = opt.config;
+        opt
+    }
+
+    /// Run one measurement window under `config` and return its stats.
+    ///
+    /// A settle window (one quarter of the measurement) runs between the
+    /// policy switch and the measured region: switching drains the memory
+    /// queues, and queue-occupancy-dependent behaviour (bank-aware issue,
+    /// drain mode) is unrepresentative until they refill.
+    ///
+    /// With a recorder attached, each window also feeds the registry's
+    /// `sim.accesses` counter and `sim.accesses_per_sec` histogram (host
+    /// simulator throughput over the window span's wall duration), and
+    /// the measured region is wrapped in a `sim.window` leaf span — the
+    /// profiler's view of raw simulator time under whichever stage
+    /// requested the window. Both span edges carry the caller's clock:
+    /// the caller only advances it after the window returns, and constant
+    /// edges keep the trace's `sim_insts` monotone.
+    fn measure(&mut self, config: NvmConfig, insts: u64) -> RunStats {
+        self.sys.set_policy(config.to_policy());
+        self.sys.run_window(self.source, (insts / 4).max(500));
+        self.sys.reset_stats();
+        let telemetry = &mut self.ctl.telemetry;
+        let window = telemetry.span("sim.window", self.executed);
+        self.sys.run_window(self.source, insts);
+        let stats = self.sys.finalize();
+        self.sys.reset_stats();
+        let wall_us = telemetry.close_span(window, self.executed);
+        if telemetry.enabled() {
+            let accesses = stats.mem.reads_completed + stats.mem.writes_completed();
+            telemetry.incr("sim.accesses", accesses);
+            if wall_us > 0 && accesses > 0 {
+                let per_sec = accesses as f64 * 1e6 / wall_us as f64;
+                telemetry.observe("sim.accesses_per_sec", per_sec);
+            }
+        }
+        stats
+    }
+
+    /// Switch the system to the chosen configuration and let it settle
+    /// for `insts` unmeasured instructions.
+    fn settle(&mut self, insts: u64) {
+        self.sys.set_policy(self.chosen.to_policy());
+        self.sys.run_window(self.source, insts);
+        self.executed += insts;
+        self.sys.reset_stats();
+    }
+
+    /// Close the measured testing region: its stats join the segment's
+    /// (`seg_testing`) and the run's testing totals, and the epoch
+    /// resets. Returns the wear meter as it stood over the closed region.
+    fn finalize_testing(&mut self, seg_testing: &mut MetricAccum) -> WearSnapshot {
+        let stats = self.sys.finalize();
+        if stats.instructions > 0 {
+            seg_testing.add(&stats);
+            self.testing.add(&stats);
+        }
+        let meter = self.sys.wear_snapshot();
+        self.sys.reset_stats();
+        meter
+    }
+
+    /// Same-phase test: the banked fit nearest in intensity, if it sits
+    /// within a quarter octave. A ratio test (not bucket equality) so
+    /// ordinary segment-to-segment measurement jitter cannot straddle a
+    /// bucket edge and force a spurious refit; ties keep the earliest
+    /// (oldest) entry.
+    fn bank_slot(&self, apki: f64) -> Option<usize> {
+        self.fit_bank
+            .iter()
+            .enumerate()
+            .map(|(slot, (fit_apki, _))| (slot, (apki / fit_apki).log2().abs()))
+            .filter(|&(_, dist)| dist <= 0.25)
+            .fold(None, |best: Option<(usize, f64)>, cand| match best {
+                Some((_, d)) if d <= cand.1 => best,
+                _ => Some(cand),
+            })
+            .map(|(slot, _)| slot)
+    }
+
+    /// Bank a fresh fit: refresh `slot` (the entry covering this
+    /// intensity) if there is one, else evict the oldest entry. Returns
+    /// the fit's slot.
+    fn bank(&mut self, slot: Option<usize>, apki: f64, predictor: MetricsPredictor) -> usize {
+        if let Some(slot) = slot {
+            self.fit_bank[slot] = (apki, predictor);
+            return slot;
+        }
+        if self.fit_bank.len() == SNAPSHOT_MODEL_SLOTS {
+            self.fit_bank.remove(0);
+        }
+        self.fit_bank.push((apki, predictor));
+        self.fit_bank.len() - 1
+    }
+
+    /// Drop the bank and stop coasting on it (after a ladder refit or
+    /// revert).
+    fn forget_fits(&mut self) {
+        self.fit_bank.clear();
+        self.warm_coasting = false;
+    }
+
+    /// Metrics of an accumulator under the configured wear budget.
+    fn metrics(&self, accum: &MetricAccum) -> Metrics {
+        accum.metrics(self.ctl.cfg.system.wear.budget())
+    }
+
+    /// Realized metrics: the testing period's, or the sampling period's
+    /// when no testing ran.
+    fn realized(&self, testing: &MetricAccum, sampling: &MetricAccum) -> Metrics {
+        self.metrics(if testing.is_empty() {
+            sampling
+        } else {
+            testing
+        })
+    }
+}
+
 /// The MCT runtime controller.
 #[derive(Debug)]
 pub struct Controller {
@@ -357,8 +1053,11 @@ impl Controller {
 
     /// Run MCT over `source` for the configured budget.
     ///
-    /// With a recorder attached, the whole run is wrapped in a `run` root
-    /// span (labeled with the learner) whose children — `warmup`,
+    /// The run is a straight line of private stage methods in the paper's
+    /// order (`start`, then per segment `baseline`, `sample`,
+    /// `fit_or_reuse`, `decide` and `test`) over one run state. With a
+    /// recorder attached, each stage runs inside its own span: a `run`
+    /// root (labeled with the learner) whose children — `warmup`,
     /// `fault.arm`, and one `segment` span per sampling→optimize→test
     /// cycle — cover the control loop end to end, so `mct profile` can
     /// apportion wall time across phases. With the default disabled
@@ -371,634 +1070,44 @@ impl Controller {
     /// bit-identical re-execution, so a mismatch is a bug that must
     /// surface immediately, never a condition to continue past.
     pub fn run<S: AccessSource>(&mut self, source: &mut S) -> Outcome {
-        let wear_budget = self.cfg.system.wear.budget();
-        let model = self.cfg.model;
-        let mut sys = System::new(self.cfg.system.clone(), self.baseline_config.to_policy());
-        let run_span = self
-            .telemetry
-            .span_with("run", 0, &[("learner", model.short_label())]);
-        // --- Crash-safe persistence (optional). ---
-        // Opening the store replays any existing log: a clean prior run
-        // arms the warm-start bank; an interrupted one becomes a
-        // verification prefix — the controller re-executes from
-        // instruction zero and, while inside the prefix, every durable
-        // record it emits is compared against the log instead of
-        // appended, so recovery provably converges on the pre-crash
-        // trajectory before any new state is persisted.
-        let run_started = (self.cfg.persist.is_some() || self.telemetry.enabled()).then(|| {
-            StateRecord::RunStarted {
-                schema: crate::persist::STATE_SCHEMA_VERSION,
-                seed: self.cfg.seed,
-                model,
-                total_insts: self.cfg.total_insts,
-                config_digest: config_digest(&self.cfg),
-            }
-        });
-        if let (Some(pcfg), Some(started)) = (&self.cfg.persist, &run_started) {
-            let open_span = self.telemetry.span("persist.open", 0);
-            self.persist = match PersistSession::begin(pcfg, started) {
-                Ok(session) => Some(session),
-                // mct-tidy: allow(P002) -- documented `# Panics` contract: an unrecoverable store must fail loudly
-                Err(e) => panic!("persist: cannot begin session in {}: {e}", pcfg.dir),
-            };
-            self.telemetry.close_span(open_span, 0);
-        }
-        if let Some(started) = run_started {
-            self.emit(0, || started);
-        }
-        let warmup_span = self.telemetry.span("warmup", 0);
-        sys.warmup(source, self.cfg.warmup_insts);
-        // Span clocks stay at 0 through warmup: the trace's `sim_insts`
-        // is the *measured* instruction clock (`executed`), which starts
-        // after warmup. Wall time still captures the warmup cost.
-        self.telemetry.close_span(warmup_span, 0);
-        // Faults arm after warmup, so plan timestamps are relative to the
-        // start of the measured region (validated in `Controller::new`).
-        if let Some(plan) = &self.cfg.fault_plan {
-            let arm_span = self.telemetry.span("fault.arm", 0);
-            sys.arm_faults(plan);
-            self.telemetry.close_span(arm_span, 0);
-        }
-
-        let mut detector = PhaseDetector::new(self.cfg.phase);
-        // The degradation ladder outlives segments: faults persist across
-        // phase boundaries, so escalation must not reset on re-sample.
-        let mut ladder = DegradationLadder::new();
-        // Bank of recently fitted predictors, each keyed by the measured
-        // workload intensity (accesses/kinst) at fit time: a new segment
-        // whose intensity stays within a quarter octave of a banked fit
-        // (and whose health record is clean) reuses that model instead of
-        // refitting — alternating phases (ocean's A→B→A) hit the bank on
-        // every return. Entries anchor on the intensity *at fit time*, so
-        // slow drift cannot ratchet an elided model arbitrarily far from
-        // the phase it was trained on. Invalidated wholesale whenever the
-        // ladder forces a refit or a revert — the banked models no longer
-        // describe how the system behaves.
-        let mut fit_cache: Vec<(f64, MetricsPredictor)> = Vec::new();
-        // Warm start: a clean prior run's fitted models pre-seed the
-        // elision bank. While the controller coasts on them (until the
-        // first fresh fit or ladder action), segments that hit the bank
-        // skip their sampling period outright — the `--resume`
-        // acceptance criterion. A different workload behind the same
-        // config would be caught by the health checks, exactly as a
-        // stale banked fit would mid-run.
-        let mut warm_coasting = false;
-        if let Some(session) = self.persist.as_mut() {
-            for (apki_bits, state) in session.take_warm_bank() {
-                if fit_cache.len() < SNAPSHOT_MODEL_SLOTS {
-                    fit_cache.push((
-                        f64::from_bits(apki_bits),
-                        MetricsPredictor::from_state(state),
-                    ));
-                    warm_coasting = true;
-                }
-            }
-            let replayed_records = session.replayed() as u64;
-            let restored_models = fit_cache.len() as u64;
-            self.emit(0, || StateRecord::PersistRecovered {
-                replayed_records,
-                warm_start: warm_coasting,
-                restored_models,
-            });
-        }
-        // Did every health check in the *previous* segment pass? A failed
-        // check means the cached model misjudged this regime, so the next
-        // segment must refit even if the intensity still matches.
-        let mut last_segment_healthy = true;
-        let mut segments: Vec<SegmentReport> = Vec::new();
-        let mut total_sampling = MetricAccum::default();
-        let mut total_testing = MetricAccum::default();
-        let mut executed: u64 = 0;
-        let mut last_baseline = Metrics {
-            ipc: 1.0,
-            lifetime_years: 1.0,
-            energy_j: 1.0,
+        let mut st = RunState {
+            sys: System::new(self.cfg.system.clone(), self.baseline_config.to_policy()),
+            executed: 0,
+            detector: PhaseDetector::new(self.cfg.phase),
+            ladder: DegradationLadder::new(),
+            fit_bank: Vec::new(),
+            warm_coasting: false,
+            last_segment_healthy: true,
+            sampling: MetricAccum::default(),
+            testing: MetricAccum::default(),
+            last_baseline: Metrics {
+                ipc: 1.0,
+                lifetime_years: 1.0,
+                energy_j: 1.0,
+            },
+            chosen: self.baseline_config,
+            segments: Vec::new(),
+            ctl: self,
+            source,
         };
-        let mut chosen = self.baseline_config;
-
-        while executed < self.cfg.total_insts {
-            let segment = segments.len() as u64;
-            let segment_label = segment.to_string();
-            let segment_span =
-                self.telemetry
-                    .span_with("segment", executed, &[("segment", &segment_label)]);
-            self.emit(executed, || StateRecord::SegmentStarted {
-                segment,
-                executed,
-            });
-
-            // --- Baseline measurement (normalization reference). ---
-            let baseline_span = self.telemetry.span("baseline", executed);
-            let mut baseline_stats = self.measure(
-                &mut sys,
-                source,
-                self.baseline_config,
-                self.cfg.baseline_insts,
-                executed,
-            );
-            // Sparse phases need a longer window before the measurement
-            // means anything; extend until ~1000 accesses were observed.
-            let observed =
-                baseline_stats.mem.reads_completed + baseline_stats.mem.writes_completed();
-            let mut extended = false;
-            if observed < 1_000 && observed > 0 {
-                let extend = self.cfg.baseline_insts * (1_000 / observed.max(50)).min(50);
-                let more = self.measure(&mut sys, source, self.baseline_config, extend, executed);
-                executed += more.instructions;
-                baseline_stats = more;
-                extended = true;
+        let learner = st.ctl.cfg.model.short_label();
+        let final_metrics = st.staged("run", &[("learner", learner)], |st| {
+            st.start();
+            while st.executed < st.ctl.cfg.total_insts {
+                st.segment();
             }
-            executed += self.cfg.baseline_insts;
-            last_baseline = baseline_stats.metrics();
-            self.telemetry.close_span(baseline_span, executed);
-            if self.telemetry.enabled() {
-                for (name, v) in baseline_stats.mem_counter_snapshot() {
-                    self.telemetry
-                        .observe(&format!("mem.baseline.{name}"), v as f64);
-                }
-            }
-            self.emit(executed, || StateRecord::BaselineMeasured {
-                segment,
-                metrics: last_baseline.into(),
-                insts: baseline_stats.instructions,
-                extended,
-            });
-
-            // Size the fine-grained sampling unit from the phase's mean
-            // memory workload (Section 5.2): dense phases use small units,
-            // sparse phases larger ones, targeting ~100 accesses per unit.
-            // Many cyclic rounds spread each sample's units across the
-            // phase's bursts (the paper loops ~130 times); the sampling
-            // period is capped at ~40% of the total budget by shrinking
-            // the unit, never the round count, so burst coverage survives.
-            let apki = baseline_stats.mem_accesses_per_kinst().max(0.5);
-            let ideal_unit = self.cfg.sample_unit_insts.max((100.0 / apki * 1e3) as u64);
-            let n_samples = self.samples.len() as u64;
-            let sampling_budget = (self.cfg.total_insts as f64 * 0.4) as u64;
-            let rounds = self.cfg.sampling_rounds.max(1);
-            let unit_insts = ideal_unit
-                .min(sampling_budget / (n_samples * rounds as u64))
-                .max(1_000);
-
-            let phase_sig = crate::phase::phase_signature(apki);
-            // Same-phase test: the banked fit nearest in intensity, if it
-            // sits within a quarter octave. A ratio test (not bucket
-            // equality) so ordinary segment-to-segment measurement jitter
-            // cannot straddle a bucket edge and force a spurious refit;
-            // ties keep the earliest (oldest) entry. Evaluated before the
-            // sampling period (its inputs — the bank, the baseline
-            // intensity, last segment's health — are all fixed by now) so
-            // a warm start can skip sampling altogether.
-            let cache_hit = fit_cache
-                .iter()
-                .enumerate()
-                .map(|(slot, (fit_apki, _))| (slot, (apki / fit_apki).log2().abs()))
-                .filter(|&(_, dist)| dist <= 0.25)
-                .fold(None, |best: Option<(usize, f64)>, cand| match best {
-                    Some((_, d)) if d <= cand.1 => best,
-                    _ => Some(cand),
-                })
-                .map(|(slot, _)| slot);
-            let fit_elided = self.cfg.refit_elision && last_segment_healthy && cache_hit.is_some();
-            // Warm start: still coasting on restored models and this
-            // segment's intensity hits the bank — skip the sampling
-            // period outright (`sampling_insts` stays 0, the `--resume`
-            // acceptance criterion).
-            let warm_started = warm_coasting && fit_elided;
-
-            // --- Sampling period: cyclic fine-grained sampling. ---
-            let mut accums = vec![MetricAccum::default(); self.samples.len()];
-            let mut seg_sampling = MetricAccum::default();
-            if warm_started {
-                self.telemetry.incr("persist.sampling_skipped", 1);
-            } else {
-                let sampling_span = self.telemetry.span("sampling", executed);
-                for round in 0..rounds as u64 {
-                    let round_span = self.telemetry.span("sampling.round", executed);
-                    for (i, cfg) in self.samples.clone().into_iter().enumerate() {
-                        let stats = self.measure(&mut sys, source, cfg, unit_insts, executed);
-                        executed += stats.instructions;
-                        accums[i].add(&stats);
-                        seg_sampling.add(&stats);
-                        total_sampling.add(&stats);
-                    }
-                    self.telemetry.close_span(round_span, executed);
-                    self.emit(executed, || StateRecord::SamplingRound {
-                        segment,
-                        round,
-                        total_rounds: rounds as u64,
-                        samples: n_samples,
-                        unit_insts,
-                    });
-                }
-                self.telemetry.close_span(sampling_span, executed);
-            }
-            // With sampling skipped, an all-zero sample set would poison
-            // a later ladder-forced refit — keep it empty instead.
-            let mut sample_data: Vec<(NvmConfig, Metrics)> = if warm_started {
-                Vec::new()
-            } else {
-                self.samples
-                    .iter()
-                    .zip(&accums)
-                    .map(|(c, a)| (*c, a.metrics(wear_budget)))
-                    .collect()
-            };
-
-            // Normalize to the *cyclically sampled* baseline anchor: the
-            // pre-window baseline above can land inside a single burst
-            // phase, while the anchor sample saw the same phase mixture as
-            // every other sample (the whole point of cyclic fine-grained
-            // sampling, Section 5.2). A warm-started segment has no
-            // anchor sample; the pre-window baseline stands.
-            if !warm_started {
-                let anchor = NvmConfig::static_baseline().without_wear_quota();
-                if let Some(idx) = self.samples.iter().position(|c| *c == anchor) {
-                    last_baseline = accums[idx].metrics(wear_budget);
-                }
-            }
-            // Health-check reference: accumulated windows of the *actual*
-            // baseline (with its wear quota). The anchor above is
-            // quota-free and would read systematically fast.
-            let mut base_accum = MetricAccum::default();
-            let mut health_checks = 0u32;
-
-            // --- Prediction over the full space. ---
-            // Decision latency (fit + predict_all + optimize, host time)
-            // accumulates across the two spans so the diagnostics block
-            // between them — refits, lasso reports — is not charged to it.
-            let mut decision_us = 0.0;
-            // Crash recovery: a fresh fit inside the replayed prefix
-            // restores its persisted model instead of refitting, pinning
-            // the save/restore path to the bit-identical-decisions
-            // contract on every recovery (not only in unit tests).
-            let restored = if fit_elided {
-                None
-            } else {
-                self.persist
-                    .as_ref()
-                    .and_then(|s| s.replayed_fit(segment))
-                    .map(MetricsPredictor::from_state)
-            };
-            let predictions;
-            if fit_elided {
-                // Same phase signature, clean health record: the cached
-                // predictor still describes this phase. Skip the fit
-                // span and the diagnostics refits entirely.
-                self.emit(executed, || StateRecord::FitCompleted {
-                    segment,
-                    elided: true,
-                    apki: apki.to_bits(),
-                    signature: phase_sig,
-                    model: None,
-                });
-                self.telemetry.incr("fit.elided", 1);
-                // mct-tidy: allow(P003) -- fit_elided implies a banked hit
-                let predictor = &fit_cache[cache_hit.expect("elision requires a cached fit")].1;
-                let predict_span = self.telemetry.span("predict", executed);
-                // mct-tidy: allow(D002) -- telemetry-gated latency probe; never feeds results
-                let decision_start = self.telemetry.enabled().then(std::time::Instant::now);
-                predictions = predictor.predict_all(&self.space);
-                self.telemetry.close_span(predict_span, executed);
-                if let Some(start) = decision_start {
-                    decision_us += start.elapsed().as_secs_f64() * 1e6;
-                }
-            } else {
-                // mct-tidy: allow(D002) -- telemetry-gated latency probe; never feeds results
-                let decision_start = self.telemetry.enabled().then(std::time::Instant::now);
-                let fit_span =
-                    self.telemetry
-                        .span_with("fit", executed, &[("learner", model.short_label())]);
-                let restored_hit = restored.is_some();
-                let predictor = if let Some(p) = restored {
-                    p
-                } else {
-                    let mut p = MetricsPredictor::new(model);
-                    p.fit_traced(
-                        &sample_data,
-                        Some(last_baseline),
-                        &mut self.telemetry,
-                        executed,
-                    );
-                    p
-                };
-                // The first fresh fit ends warm coasting: from here the
-                // controller's bank is its own, and sampling resumes its
-                // normal cadence.
-                warm_coasting = false;
-                if restored_hit {
-                    self.telemetry.incr("persist.models_restored", 1);
-                }
-                self.emit(executed, || StateRecord::FitCompleted {
-                    segment,
-                    elided: false,
-                    apki: apki.to_bits(),
-                    signature: phase_sig,
-                    model: predictor.save_state(),
-                });
-                self.telemetry.close_span(fit_span, executed);
-                let predict_span = self.telemetry.span("predict", executed);
-                predictions = predictor.predict_all(&self.space);
-                self.telemetry.close_span(predict_span, executed);
-                if let Some(start) = decision_start {
-                    decision_us += start.elapsed().as_secs_f64() * 1e6;
-                }
-                // Diagnostics-only work (k-fold refits, a lasso report)
-                // runs solely when a recorder is attached.
-                if self.telemetry.enabled() {
-                    self.emit(executed, || StateRecord::FitDiagnosed {
-                        segment,
-                        n_samples: sample_data.len() as u64,
-                        cv_r2_ipc: predictor.cv_r2_ipc(&sample_data, 4),
-                        lasso_features: lasso_support(model, &sample_data),
-                    });
-                }
-                // Bank the fresh fit: refresh the slot covering this
-                // intensity if one exists, else evict the oldest entry.
-                if let Some(slot) = cache_hit {
-                    fit_cache[slot] = (apki, predictor);
-                } else {
-                    if fit_cache.len() == SNAPSHOT_MODEL_SLOTS {
-                        fit_cache.remove(0);
-                    }
-                    fit_cache.push((apki, predictor));
-                }
-            }
-
-            // --- Constrained optimization + wear-quota fixup. ---
-            let decide_span = self.telemetry.span("decide", executed);
-            // mct-tidy: allow(D002) -- telemetry-gated latency probe; never feeds results
-            let decision_start = self.telemetry.enabled().then(std::time::Instant::now);
-            let mut opt = optimize(
-                &self.space,
-                &predictions,
-                &self.objective,
-                self.baseline_config,
-                self.cfg.quota_fixup,
-            );
-            chosen = opt.config;
-            if let Some(start) = decision_start {
-                decision_us += start.elapsed().as_secs_f64() * 1e6;
-                self.telemetry.observe("decision.latency_us", decision_us);
-                self.telemetry.observe_with(
-                    "decision.latency_us",
-                    &[("learner", model.short_label())],
-                    decision_us,
-                );
-            }
-            self.telemetry.close_span(decide_span, executed);
-            if opt.fell_back {
-                self.telemetry.incr("optimizer_fallbacks", 1);
-            }
-            self.emit(executed, || decision(segment, &opt, false));
-
-            // --- Testing period with health checks & phase detection. ---
-            // The measured region is finalized only at health-check and
-            // phase boundaries (not per window): finalizing drains the
-            // write queues, and doing so every window would deflate the
-            // testing IPC relative to the long-window methodology the
-            // static/ideal references are measured with.
-            sys.set_policy(chosen.to_policy());
-            sys.run_window(source, self.cfg.phase.window_insts / 4); // settle
-            executed += self.cfg.phase.window_insts / 4;
-            sys.reset_stats();
-            detector.reset();
-            let testing_span = self.telemetry.span("testing", executed);
-            let mut seg_testing = MetricAccum::default();
-            let mut health_fallback = false;
-            let mut seg_health_ok = true;
-            let mut windows: u64 = 0;
-            while executed < self.cfg.total_insts {
-                let before = sys.perf_counters();
-                sys.run_window(source, self.cfg.phase.window_insts);
-                let after = sys.perf_counters();
-                executed += self.cfg.phase.window_insts;
-                windows += 1;
-                let workload = after.workload_since(&before) as f64;
-                if detector.observe(workload) {
-                    let mean_workload = workload * 1e3 / self.cfg.phase.window_insts as f64;
-                    self.emit(executed, || StateRecord::PhaseDetected {
-                        segment,
-                        score: detector.last_score(),
-                        phases_detected: detector.phases_detected(),
-                        mean_workload,
-                    });
-                    let stats = sys.finalize();
-                    seg_testing.add(&stats);
-                    total_testing.add(&stats);
-                    sys.reset_stats();
-                    break;
-                }
-                // Periodic health check: run the baseline briefly and
-                // demote the choice if it underperforms (Section 5.4).
-                if !health_fallback
-                    && self.cfg.health_check_every_windows > 0
-                    && windows.is_multiple_of(self.cfg.health_check_every_windows)
-                {
-                    let health_span = self.telemetry.span("health_check", executed);
-                    let stats = sys.finalize();
-                    seg_testing.add(&stats);
-                    total_testing.add(&stats);
-                    sys.reset_stats();
-                    let hc = self.measure(
-                        &mut sys,
-                        source,
-                        self.baseline_config,
-                        self.cfg.health_check_insts,
-                        executed,
-                    );
-                    executed += hc.instructions;
-                    // Accumulate baseline health-check windows so the
-                    // reference covers the same phase mixture the testing
-                    // aggregate does (one window is burst-biased); only
-                    // act once at least two windows accumulated.
-                    base_accum.add(&hc);
-                    health_checks += 1;
-                    let health_baseline = base_accum.metrics(wear_budget);
-                    let testing_so_far = seg_testing.metrics(wear_budget);
-                    let failed = DegradationLadder::reading_failed(
-                        health_checks,
-                        testing_so_far.ipc,
-                        health_baseline.ipc,
-                        testing_so_far.lifetime_years,
-                        self.objective.lifetime_floor(),
-                    );
-                    // A failed check escalates the degradation ladder one
-                    // rung: re-sample, then refit, then the paper's
-                    // revert-to-static fallback (Section 5.4).
-                    if failed {
-                        seg_health_ok = false;
-                    }
-                    self.emit(executed, || StateRecord::HealthChecked {
-                        segment,
-                        check: health_checks,
-                        passed: !failed,
-                        testing_ipc: testing_so_far.ipc.to_bits(),
-                        baseline_ipc: health_baseline.ipc.to_bits(),
-                    });
-                    let (action, transition) = ladder.observe(failed);
-                    if let Some(tr) = transition {
-                        self.emit(executed, || StateRecord::LadderMoved {
-                            segment,
-                            from: tr.from,
-                            to: tr.to,
-                            failures: tr.failures,
-                            lifetime_years: testing_so_far.lifetime_years.to_bits(),
-                        });
-                    }
-                    let mut resample = false;
-                    match action {
-                        DegradationAction::None => {}
-                        DegradationAction::Resample => resample = true,
-                        DegradationAction::Refit => {
-                            // Fold the degraded testing observation into
-                            // the sample set and re-optimize in place, so
-                            // the model sees how the choice actually ran.
-                            let refit_span = self.telemetry.span("refit", executed);
-                            sample_data.push((chosen, testing_so_far));
-                            let mut refit = MetricsPredictor::new(model);
-                            refit.fit_traced(
-                                &sample_data,
-                                Some(last_baseline),
-                                &mut self.telemetry,
-                                executed,
-                            );
-                            let repredictions = refit.predict_all(&self.space);
-                            opt = optimize(
-                                &self.space,
-                                &repredictions,
-                                &self.objective,
-                                self.baseline_config,
-                                self.cfg.quota_fixup,
-                            );
-                            chosen = opt.config;
-                            self.telemetry.close_span(refit_span, executed);
-                            self.emit(executed, || decision(segment, &opt, true));
-                            // The degraded refit mixed testing data into
-                            // the sample set; it is not a clean phase fit
-                            // and must never be reused by elision.
-                            fit_cache.clear();
-                            warm_coasting = false;
-                        }
-                        DegradationAction::RevertToStatic => {
-                            health_fallback = true;
-                            chosen = self.baseline_config;
-                            fit_cache.clear();
-                            warm_coasting = false;
-                            self.telemetry.incr("health_fallbacks", 1);
-                        }
-                    }
-                    self.telemetry.close_span(health_span, executed);
-                    if resample {
-                        // Rung 1: abandon the testing period and restart
-                        // the segment so sampling observes the degraded
-                        // regime. Stats were finalized and reset above, so
-                        // the tail flush below is a no-op.
-                        break;
-                    }
-                    sys.set_policy(chosen.to_policy());
-                    sys.run_window(source, self.cfg.phase.window_insts / 4);
-                    executed += self.cfg.phase.window_insts / 4;
-                    sys.reset_stats();
-                }
-            }
-            // Flush the tail of the measured region. The wear meter is
-            // snapshotted after the finalize (it still covers the final
-            // measured epoch) and before the reset clears it.
-            let seg_wear_meter = {
-                let stats = sys.finalize();
-                if stats.instructions > 0 {
-                    seg_testing.add(&stats);
-                    total_testing.add(&stats);
-                }
-                let snap = sys.wear_snapshot();
-                sys.reset_stats();
-                snap
-            };
-            last_segment_healthy = seg_health_ok;
-            self.telemetry.close_span(testing_span, executed);
-
-            let seg_testing_metrics = if seg_testing.is_empty() {
-                seg_sampling.metrics(wear_budget)
-            } else {
-                seg_testing.metrics(wear_budget)
-            };
-            self.emit(executed, || StateRecord::WearDelta {
-                segment,
-                sampling_wear: seg_sampling.wear_units.to_bits(),
-                testing_wear: seg_testing.wear_units.to_bits(),
-                meter: seg_wear_meter,
-            });
-            self.emit(executed, || StateRecord::SegmentCompleted {
-                segment,
-                chosen,
-                health_fallback,
-                fit_elided,
-                warm_started,
-                sampling_insts: seg_sampling.insts,
-                testing_insts: seg_testing.insts,
-                testing: seg_testing_metrics.into(),
-            });
-            // Segment boundaries compact the log into a snapshot (a
-            // no-op while recovery is still verifying the prefix, and
-            // after an injected crash).
-            if let Some(session) = self.persist.as_mut() {
-                let snap_span = self.telemetry.span("persist.snapshot", executed);
-                session
-                    .checkpoint()
-                    // mct-tidy: allow(P003) -- documented `# Panics` contract: a failing store must not be ignored
-                    .expect("persist: segment snapshot failed");
-                self.telemetry.close_span(snap_span, executed);
-            }
-
-            segments.push(SegmentReport {
-                optimization: opt,
-                baseline: last_baseline,
-                sampling: seg_sampling.metrics(wear_budget),
-                testing: seg_testing_metrics,
-                health_fallback,
-                fit_elided,
-                warm_started,
-                sampling_insts: seg_sampling.insts,
-                testing_insts: seg_testing.insts,
-            });
-            self.telemetry.close_span(segment_span, executed);
-        }
-
-        let final_metrics = if total_testing.is_empty() {
-            total_sampling.metrics(wear_budget)
-        } else {
-            total_testing.metrics(wear_budget)
-        };
-        self.emit(executed, || StateRecord::RunCompleted {
-            executed,
-            chosen,
-            segments: segments.len() as u64,
-            final_metrics: final_metrics.into(),
+            st.complete()
         });
-        if let Some(mut session) = self.persist.take() {
-            // The final snapshot compacts a clean run to one snapshot
-            // whose log ends in `run_completed` — the warm-start source
-            // for the next `--resume`.
-            session
-                .checkpoint()
-                // mct-tidy: allow(P003) -- documented `# Panics` contract: a failing store must not be ignored
-                .expect("persist: final snapshot failed");
-            self.telemetry.incr("persist.appends", session.appends());
-            self.telemetry
-                .incr("persist.snapshots", session.snapshots());
-        }
-        self.telemetry.close_span(run_span, executed);
-        self.telemetry.finish(executed);
+        st.ctl.telemetry.finish(st.executed);
         Outcome {
-            chosen_config: chosen,
+            chosen_config: st.chosen,
             final_metrics,
-            sampling_metrics: total_sampling.metrics(wear_budget),
-            baseline_metrics: last_baseline,
-            phases_detected: detector.phases_detected(),
-            segments,
-            sampling_insts: total_sampling.insts,
-            testing_insts: total_testing.insts,
+            sampling_metrics: st.metrics(&st.sampling),
+            baseline_metrics: st.last_baseline,
+            phases_detected: st.detector.phases_detected(),
+            sampling_insts: st.sampling.insts,
+            testing_insts: st.testing.insts,
+            segments: st.segments,
         }
     }
 
@@ -1034,56 +1143,17 @@ impl Controller {
         }
     }
 
-    /// Run one measurement window under `config` and return its stats.
+    /// Compact the state store's log into a snapshot, if one is attached.
     ///
-    /// A settle window (one quarter of the measurement) runs between the
-    /// policy switch and the measured region: switching drains the memory
-    /// queues, and queue-occupancy-dependent behaviour (bank-aware issue,
-    /// drain mode) is unrepresentative until they refill.
-    ///
-    /// With a recorder attached, each window also feeds the registry's
-    /// `sim.accesses` counter and `sim.accesses_per_sec` histogram (host
-    /// wall-clock simulator throughput), and the measured region is
-    /// wrapped in a `sim.window` leaf span — the profiler's view of raw
-    /// simulator time under whichever stage requested the window.
-    fn measure<S: AccessSource>(
-        &mut self,
-        sys: &mut System,
-        source: &mut S,
-        config: NvmConfig,
-        insts: u64,
-        executed: u64,
-    ) -> RunStats {
-        sys.set_policy(config.to_policy());
-        sys.run_window(source, (insts / 4).max(500));
-        sys.reset_stats();
-        // One recorder gate for the whole probe: with the default
-        // NullRecorder the measured region runs with zero telemetry calls
-        // in front of it (each span/observe call would branch on its own,
-        // but four branches per window add up across a sweep's thousands
-        // of windows).
-        // Both span edges carry the caller's `executed` clock: the caller
-        // only advances it after the window returns, and constant edges
-        // keep the trace's sim_insts monotone. Duration lives in wall_us.
-        let probe = self.telemetry.enabled().then(|| {
-            let span = self.telemetry.span("sim.window", executed);
-            // mct-tidy: allow(D002) -- telemetry-gated latency probe; never feeds results
-            (span, std::time::Instant::now())
-        });
-        sys.run_window(source, insts);
-        let stats = sys.finalize();
-        sys.reset_stats();
-        if let Some((window_span, start)) = probe {
-            self.telemetry.close_span(window_span, executed);
-            let accesses = stats.mem.reads_completed + stats.mem.writes_completed();
-            self.telemetry.incr("sim.accesses", accesses);
-            let host_secs = start.elapsed().as_secs_f64();
-            if host_secs > 0.0 && accesses > 0 {
-                self.telemetry
-                    .observe("sim.accesses_per_sec", accesses as f64 / host_secs);
-            }
+    /// # Panics
+    /// Panics if the store fails: a failing store must not be ignored.
+    fn checkpoint(&mut self) {
+        if let Some(session) = self.persist.as_mut() {
+            session
+                .checkpoint()
+                // mct-tidy: allow(P003) -- documented `# Panics` contract: a failing store must not be ignored
+                .expect("persist: snapshot failed");
         }
-        stats
     }
 }
 

@@ -56,6 +56,7 @@ use crate::config::NvmConfig;
 use crate::controller::ControllerConfig;
 use crate::degrade::DegradationStage;
 use crate::predictor::ModelKind;
+use crate::timeline::render_timeline;
 
 /// Version of the typed record schema layered on the container format
 /// ([`mct_persist::FORMAT_VERSION`] guards the byte layout; this guards
@@ -862,28 +863,16 @@ pub struct RecoveryReport {
     pub clean: bool,
     /// Run seed, if a `run_started` record was recovered.
     pub seed: Option<u64>,
-    /// Predictor family of the run.
-    pub model: Option<ModelKind>,
-    /// Instruction budget of the run.
-    pub total_insts: Option<u64>,
-    /// Latest measured-instruction clock seen in the log.
-    pub executed: u64,
     /// Segments completed.
     pub segments_completed: u64,
-    /// Fit records (fresh + elided).
-    pub fits: u64,
-    /// Elided fit records.
-    pub elided_fits: u64,
     /// Fresh fits whose model payload survives in the log.
     pub restorable_models: u64,
-    /// Health checks recorded.
-    pub health_checks: u64,
     /// Failed health checks recorded.
     pub health_failures: u64,
     /// Final degradation-ladder rung implied by the log.
     pub ladder: DegradationStage,
-    /// Most recent chosen configuration.
-    pub last_chosen: Option<NvmConfig>,
+    /// The recovered records, rendered by [`RecoveryReport::render`].
+    log: Vec<StateRecord>,
 }
 
 impl RecoveryReport {
@@ -893,86 +882,45 @@ impl RecoveryReport {
     /// Any [`RecoverError`] from the container or the typed decode.
     pub fn from_dir(dir: &Path) -> Result<RecoveryReport, RecoverError> {
         let replay = StateStore::replay_dir(dir)?;
-        let records = decode_replay(&replay)?;
+        let log = decode_replay(&replay)?;
         let mut report = RecoveryReport {
             generation: replay.generation,
-            records: records.len(),
+            records: log.len(),
             stale_wal_records: replay.stale_wal_records,
             torn: replay.torn,
-            clean: matches!(records.last(), Some(StateRecord::RunCompleted { .. })),
+            clean: matches!(log.last(), Some(StateRecord::RunCompleted { .. })),
             seed: None,
-            model: None,
-            total_insts: None,
-            executed: 0,
             segments_completed: 0,
-            fits: 0,
-            elided_fits: 0,
             restorable_models: 0,
-            health_checks: 0,
             health_failures: 0,
             ladder: DegradationStage::Normal,
-            last_chosen: None,
+            log: Vec::new(),
         };
-        for rec in &records {
+        for rec in &log {
             match rec {
-                StateRecord::RunStarted {
-                    seed,
-                    model,
-                    total_insts,
-                    ..
-                } => {
-                    report.seed = Some(*seed);
-                    report.model = Some(*model);
-                    report.total_insts = Some(*total_insts);
-                }
-                StateRecord::SegmentStarted { executed, .. } => {
-                    report.executed = report.executed.max(*executed);
-                }
-                StateRecord::FitCompleted { elided, model, .. } => {
-                    report.fits += 1;
-                    if *elided {
-                        report.elided_fits += 1;
-                    }
-                    if model.is_some() {
-                        report.restorable_models += 1;
-                    }
-                }
-                StateRecord::DecisionMade { config, .. } => {
-                    report.last_chosen = Some(*config);
-                }
-                StateRecord::HealthChecked { passed, .. } => {
-                    report.health_checks += 1;
-                    if !passed {
-                        report.health_failures += 1;
-                    }
-                }
+                StateRecord::RunStarted { seed, .. } => report.seed = Some(*seed),
+                StateRecord::FitCompleted { model: Some(_), .. } => report.restorable_models += 1,
+                StateRecord::HealthChecked { passed: false, .. } => report.health_failures += 1,
                 StateRecord::LadderMoved { to, .. } => report.ladder = *to,
-                StateRecord::SegmentCompleted {
-                    segment, chosen, ..
-                } => {
+                StateRecord::SegmentCompleted { segment, .. } => {
                     report.segments_completed = report.segments_completed.max(segment + 1);
-                    report.last_chosen = Some(*chosen);
-                }
-                StateRecord::RunCompleted {
-                    executed, chosen, ..
-                } => {
-                    report.executed = report.executed.max(*executed);
-                    report.last_chosen = Some(*chosen);
                 }
                 _ => {}
             }
         }
+        report.log = log;
         Ok(report)
     }
 
-    /// Multi-line human rendering for the `mct recover` subcommand.
+    /// Human rendering for the `mct recover` subcommand: the container's
+    /// state, the recovered records as the decision timeline `mct report`
+    /// prints, and what `--resume` will do with them.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let mut out = format!(
             "state store: generation {}, {} records recovered\n",
             self.generation, self.records
-        ));
+        );
         if let Some(t) = self.torn {
             out.push_str(&format!(
                 "  torn tail dropped: {} bytes at offset {} (record never acknowledged)\n",
@@ -986,30 +934,7 @@ impl RecoveryReport {
                 self.stale_wal_records
             ));
         }
-        match (self.seed, self.model, self.total_insts) {
-            (Some(seed), Some(model), Some(total)) => out.push_str(&format!(
-                "run: seed {seed}, model {}, budget {total} insts\n",
-                model.short_label()
-            )),
-            _ => out.push_str("run: no run_started record (empty or torn-at-birth log)\n"),
-        }
-        out.push_str(&format!(
-            "progress: {} segments completed, {} insts executed\n",
-            self.segments_completed, self.executed
-        ));
-        out.push_str(&format!(
-            "fits: {} total ({} elided), {} restorable model payloads\n",
-            self.fits, self.elided_fits, self.restorable_models
-        ));
-        out.push_str(&format!(
-            "health: {} checks, {} failed, ladder at {}\n",
-            self.health_checks,
-            self.health_failures,
-            self.ladder.label()
-        ));
-        if let Some(c) = &self.last_chosen {
-            out.push_str(&format!("last chosen config: {c}\n"));
-        }
+        out.push_str(&render_timeline(&self.log));
         out.push_str(if self.clean {
             "status: clean completion — `mct run --resume` will warm-start\n"
         } else {
@@ -1251,9 +1176,7 @@ mod tests {
         let report = RecoveryReport::from_dir(dir.path()).expect("report");
         assert_eq!(report.records, 4);
         assert_eq!(report.seed, Some(17));
-        assert_eq!(report.fits, 1);
         assert_eq!(report.restorable_models, 1);
-        assert_eq!(report.health_checks, 1);
         assert_eq!(report.health_failures, 1);
         assert_eq!(report.ladder, DegradationStage::Resample);
         assert!(!report.clean);

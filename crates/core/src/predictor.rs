@@ -190,11 +190,7 @@ impl MetricsPredictor {
     /// Panics if `samples` is empty, or if the kind needs an offline
     /// corpus that was not provided.
     pub fn fit(&mut self, samples: &[(NvmConfig, Metrics)], baseline: Option<Metrics>) {
-        assert!(!samples.is_empty(), "need at least one sample");
-        self.baseline = baseline;
-        let (rows, target_arrays) = self.build_training_matrix(samples);
-        self.fit_models(rows, target_arrays);
-        self.fitted = true;
+        self.fit_traced(samples, baseline, &mut Telemetry::disabled(), 0);
     }
 
     /// [`MetricsPredictor::fit`] with span instrumentation: the feature /

@@ -187,17 +187,18 @@ fn registry_snapshot_accounts_for_the_trace() {
             "missing span duration histogram {name}"
         );
     }
-    // Hot-path instrumentation: simulated accesses are counted, simulator
-    // throughput and end-to-end decision latency land in histograms.
+    // Hot-path instrumentation: simulated accesses are counted, and
+    // simulator throughput over each window span lands in a histogram.
     assert!(counter("sim.accesses") > 0);
-    for name in ["sim.accesses_per_sec", "decision.latency_us"] {
-        let hist = snapshot
-            .histograms
-            .iter()
-            .find(|(n, h)| n.as_str() == name && h.count > 0)
-            .unwrap_or_else(|| panic!("missing histogram {name}"));
-        assert!(hist.1.min > 0.0, "{name} records positive observations");
-    }
+    let throughput = snapshot
+        .histograms
+        .iter()
+        .find(|(n, h)| n.as_str() == "sim.accesses_per_sec" && h.count > 0)
+        .expect("missing histogram sim.accesses_per_sec");
+    assert!(
+        throughput.1.min > 0.0,
+        "sim.accesses_per_sec records positive observations"
+    );
 }
 
 #[test]

@@ -324,14 +324,17 @@ impl Telemetry {
     /// open are closed too (innermost first), so a forgotten close on an
     /// early-exit path skews one timing instead of corrupting the tree;
     /// closing an already-closed span is a no-op. Each close also lands
-    /// in the `span.wall_us{span="<name>"}` duration histogram.
-    pub fn close_span(&mut self, guard: SpanGuard, sim_insts: u64) {
+    /// in the `span.wall_us{span="<name>"}` duration histogram. Returns
+    /// the closed span's wall duration in microseconds (0 when disabled
+    /// or already closed), so callers time a region through its span.
+    pub fn close_span(&mut self, guard: SpanGuard, sim_insts: u64) -> u64 {
         if !self.enabled || !guard.id().is_some() {
-            return;
+            return 0;
         }
         let wall_us = self.origin.elapsed().as_micros() as u64;
+        let mut duration_us = 0;
         for span in self.spans.close(guard.id()) {
-            let duration_us = wall_us.saturating_sub(span.opened_wall_us);
+            duration_us = wall_us.saturating_sub(span.opened_wall_us);
             lock_recorder(&self.handle).registry_mut().observe_with(
                 "span.wall_us",
                 &[("span", span.name)],
@@ -346,6 +349,7 @@ impl Telemetry {
                 },
             );
         }
+        duration_us
     }
 
     /// Bump a registry counter.
@@ -374,16 +378,6 @@ impl Telemetry {
         lock_recorder(&self.handle)
             .registry_mut()
             .observe(name, value);
-    }
-
-    /// Record a labeled histogram observation.
-    pub fn observe_with(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        if !self.enabled {
-            return;
-        }
-        lock_recorder(&self.handle)
-            .registry_mut()
-            .observe_with(name, labels, value);
     }
 
     /// Emit one controller state transition of kind `kind` (already
@@ -493,7 +487,7 @@ mod tests {
         let mut t = Telemetry::attached(rec.clone() as RecorderHandle);
         let run = t.span("run", 0);
         let fit = t.span_with("fit", 10, &[("learner", "gbrt")]);
-        t.close_span(fit, 20);
+        let fit_us = t.close_span(fit, 20);
         t.close_span(run, 30);
         let guard = rec.lock().expect("lock");
         let records = guard.records();
@@ -532,6 +526,10 @@ mod tests {
             .histogram_with("span.wall_us", &[("span", "fit")])
             .expect("fit duration recorded");
         assert_eq!(fit_hist.count, 1);
+        assert_eq!(
+            fit_hist.sum, fit_us as f64,
+            "close returns the recorded duration"
+        );
     }
 
     #[test]
@@ -539,8 +537,7 @@ mod tests {
         let mut t = Telemetry::disabled();
         let g = t.span("run", 0);
         assert!(!g.id().is_some());
-        t.close_span(g, 10);
-        // Nothing recorded, nothing to assert beyond "did not panic".
+        assert_eq!(t.close_span(g, 10), 0, "a disabled span has no duration");
     }
 
     #[test]

@@ -425,3 +425,182 @@ proptest! {
         }
     }
 }
+
+/// JSON fragments: structure, the keys the trace and fault-plan decoders
+/// know, and numbers and escapes at the edges of what they accept, so
+/// generated text gets past the first token instead of failing there.
+const JSON_FRAGMENTS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    "\\",
+    " ",
+    "\n",
+    "null",
+    "true",
+    "false",
+    "0",
+    "-1",
+    "1.5",
+    "-0",
+    "1e999",
+    "-1e999",
+    "18446744073709551616",
+    "\"\\u00",
+    "\"\\ud800\"",
+    "\"seq\"",
+    "\"sim_insts\"",
+    "\"wall_us\"",
+    "\"event\"",
+    "\"Transition\"",
+    "\"SpanOpen\"",
+    "\"SpanClose\"",
+    "\"MetricsRegistry\"",
+    "\"PipelineCompleted\"",
+    "\"id\"",
+    "\"parent\"",
+    "\"name\"",
+    "\"labels\"",
+    "\"snapshot\"",
+    "\"counters\"",
+    "\"histograms\"",
+    "\"seed\"",
+    "\"events\"",
+    "\"MeasurementNoise\"",
+    "\"amplitude\"",
+    "\"WriteLatencyDrift\"",
+    "\"StuckLine\"",
+    "\"BankOutage\"",
+    "\"bank\"",
+    "\"start_ns\"",
+    "\"end_ns\"",
+    "\"factor\"",
+    "\"drift_per_ms\"",
+    "\"line\"",
+    "\"from_ns\"",
+    "\"retries\"",
+];
+
+/// Strategy: text made of JSON fragments and arbitrary bytes (lossily
+/// decoded, as any `&str` input would be).
+fn arb_text(max_pieces: usize) -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        (0usize..JSON_FRAGMENTS.len()).prop_map(|i| JSON_FRAGMENTS[i].to_string()),
+        proptest::collection::vec((0u32..256).prop_map(|b| b as u8), 1..4)
+            .prop_map(|b| String::from_utf8_lossy(&b).into_owned()),
+    ];
+    proptest::collection::vec(piece, 0..max_pieces).prop_map(|pieces| pieces.concat())
+}
+
+/// Strategy: a field value — in range, out of range, or of the wrong
+/// type.
+fn arb_json_value() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (-1e3f64..1e3).prop_map(|v| format!("{v}")),
+        any::<u64>().prop_map(|v| v.to_string()),
+        (0usize..JSON_FRAGMENTS.len()).prop_map(|i| JSON_FRAGMENTS[i].to_string()),
+        Just("1e308".to_string()),
+        Just("-1e308".to_string()),
+        Just("null".to_string()),
+    ]
+}
+
+/// Strategy: a trace event — arbitrary text, or one of the event shapes
+/// with every field drawn from [`arb_json_value`], so it often decodes
+/// far enough to reach the event's own fields.
+fn arb_event_json() -> impl Strategy<Value = String> {
+    prop_oneof![
+        arb_text(24),
+        (arb_json_value(), arb_json_value(), arb_json_value(), arb_json_value()).prop_map(
+            |(id, parent, name, labels)| format!(
+                r#"{{"SpanOpen":{{"id":{id},"parent":{parent},"name":{name},"labels":[[{labels},"x"]]}}}}"#
+            )
+        ),
+        (arb_json_value(), arb_json_value())
+            .prop_map(|(id, name)| format!(r#"{{"SpanClose":{{"id":{id},"name":{name}}}}}"#)),
+        arb_text(12).prop_map(|t| format!(r#"{{"Transition":{t}}}"#)),
+        (arb_json_value(), arb_json_value()).prop_map(|(name, value)| format!(
+            r#"{{"MetricsRegistry":{{"snapshot":{{"counters":[[{name},{value}]],"histograms":[]}}}}}}"#
+        )),
+    ]
+}
+
+/// Strategy: a fault plan in the committed fixture's shape with every
+/// field drawn from [`arb_json_value`], so it usually decodes and the
+/// validator sees hostile numbers.
+fn arb_plan_json() -> impl Strategy<Value = String> {
+    let event = prop_oneof![
+        arb_json_value().prop_map(|a| format!(r#"{{"MeasurementNoise":{{"amplitude":{a}}}}}"#)),
+        (
+            arb_json_value(),
+            arb_json_value(),
+            arb_json_value(),
+            arb_json_value(),
+            arb_json_value(),
+        )
+            .prop_map(|(b, s, e, f, d)| format!(
+                r#"{{"WriteLatencyDrift":{{"bank":{b},"start_ns":{s},"end_ns":{e},"factor":{f},"drift_per_ms":{d}}}}}"#
+            )),
+        (arb_json_value(), arb_json_value(), arb_json_value()).prop_map(|(l, f, r)| format!(
+            r#"{{"StuckLine":{{"line":{l},"from_ns":{f},"retries":{r}}}}}"#
+        )),
+        (arb_json_value(), arb_json_value(), arb_json_value()).prop_map(|(b, s, e)| format!(
+            r#"{{"BankOutage":{{"bank":{b},"start_ns":{s},"end_ns":{e}}}}}"#
+        )),
+    ];
+    (any::<u64>(), proptest::collection::vec(event, 0..4))
+        .prop_map(|(seed, events)| format!(r#"{{"seed":{seed},"events":[{}]}}"#, events.join(",")))
+}
+
+/// Decode `text` as a fault plan and validate it: either step may fail,
+/// neither may panic.
+fn plan_decodes_without_panic(text: &str) {
+    if let Ok(plan) = serde_json::from_str::<FaultPlan>(text) {
+        let _ = plan.validate();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary text as a trace file: both trace parsers return `Ok` or
+    /// a typed error, never a panic.
+    #[test]
+    fn trace_parsers_never_panic_on_arbitrary_text(text in arb_text(40)) {
+        let _ = memory_cocktail_therapy::telemetry::parse_jsonl(&text);
+        let _ = memory_cocktail_therapy::telemetry::parse_jsonl_tolerant(&text);
+    }
+
+    /// Arbitrary event payloads inside a valid `Record` envelope, one per
+    /// line between well-formed records: the parsers get past the
+    /// envelope into the event decoders, and still never panic.
+    #[test]
+    fn trace_parsers_never_panic_on_arbitrary_events(
+        events in proptest::collection::vec(arb_event_json(), 1..6),
+        seq in any::<u64>(),
+    ) {
+        let lines: Vec<String> = events
+            .iter()
+            .map(|event| {
+                format!(r#"{{"seq":{seq},"sim_insts":0,"wall_us":0,"event":{event}}}"#)
+            })
+            .collect();
+        let valid = r#"{"seq":0,"sim_insts":0,"wall_us":0,"event":{"SpanClose":{"id":1,"name":"run"}}}"#;
+        let text = format!("{valid}\n{}\n{valid}\n", lines.join("\n"));
+        let _ = memory_cocktail_therapy::telemetry::parse_jsonl(&text);
+        let _ = memory_cocktail_therapy::telemetry::parse_jsonl_tolerant(&text);
+    }
+
+    /// Arbitrary text, and plans of the fixture's shape with hostile
+    /// field values, through `FaultPlan` decoding and validation: typed
+    /// errors only, never a panic.
+    #[test]
+    fn fault_plan_json_never_panics(text in arb_text(40), plan in arb_plan_json()) {
+        plan_decodes_without_panic(&text);
+        plan_decodes_without_panic(&plan);
+    }
+}
