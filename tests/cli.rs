@@ -1,0 +1,44 @@
+//! The `mct` binary's exit codes on refused flag values: a usage error
+//! exits 1 with a message, never 101 (a panic) and never 0 (a silently
+//! defaulted value).
+
+use std::process::{Command, Output};
+
+use memory_cocktail_therapy::persist::TempDir;
+
+fn mct(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mct"))
+        .args(args)
+        .output()
+        .expect("spawn mct")
+}
+
+fn assert_usage_error(out: &Output, args: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "mct {args}: stderr {stderr}");
+    assert!(
+        stderr.contains("invalid value"),
+        "mct {args}: no usage message in stderr {stderr}"
+    );
+}
+
+#[test]
+fn zero_target_is_a_usage_error() {
+    let args = [
+        "run", "stream", "--insts", "400000", "--target", "0", "--quiet",
+    ];
+    assert_usage_error(&mct(&args), &args.join(" "));
+}
+
+#[test]
+fn unparsable_min_coverage_is_a_usage_error() {
+    let dir = TempDir::new("mct-cli");
+    let trace = dir.join("t.jsonl");
+    let trace = trace.to_str().expect("utf-8 temp path");
+    let out = mct(&[
+        "run", "stream", "--insts", "400000", "--trace", trace, "--quiet",
+    ]);
+    assert!(out.status.success(), "traced run failed: {out:?}");
+    let args = ["profile", trace, "--min-coverage", "abc"];
+    assert_usage_error(&mct(&args), &args.join(" "));
+}
