@@ -3,8 +3,9 @@
 //!
 //! The paper reports (on a 12-core i7): linear ~1 ms, quadratic 3–8 ms,
 //! gradient boosting ~112 ms, hierarchical Bayesian ~8,000 ms. Absolute
-//! numbers differ on other hardware; the *ordering* is the reproducible
-//! claim.
+//! numbers differ on other hardware, and the ordering does not fully hold
+//! here either: offline pays for its corpus and hierarchical is far
+//! cheaper than the paper's sampler (EXPERIMENTS.md records a run).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

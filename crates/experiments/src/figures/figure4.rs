@@ -7,9 +7,9 @@ use std::io::{self, Write};
 use mct_core::{
     predictor::lasso_feature_report, sampling, ConfigSpace, MetricsPredictor, ModelKind, NvmConfig,
 };
-use mct_ml::coefficient_of_determination;
 use mct_workloads::Workload;
 
+use super::r2_by_objective;
 use crate::cache::{load_or_compute_sweeps, strided_configs, SweepDataset, SweepRequest};
 use crate::report::Table;
 use crate::runner::EXPERIMENT_SEED;
@@ -22,7 +22,9 @@ const COEF_WORKLOADS: [Workload; 4] = [
     Workload::Stream,
 ];
 
-fn train_eval(ds: &SweepDataset, train_cfgs: &[NvmConfig], dim: usize) -> f64 {
+/// Gradient-boosting IPC R^2 over the whole dataset after training on
+/// the measured rows of `train_cfgs`.
+fn train_eval(ds: &SweepDataset, train_cfgs: &[NvmConfig]) -> f64 {
     let pairs = ds.pairs();
     let train: Vec<_> = train_cfgs
         .iter()
@@ -33,18 +35,7 @@ fn train_eval(ds: &SweepDataset, train_cfgs: &[NvmConfig], dim: usize) -> f64 {
     }
     let mut p = MetricsPredictor::new(ModelKind::GradientBoosting);
     p.fit(&train, None);
-    let clamp = mct_core::predictor::LIFETIME_CLAMP_YEARS;
-    let preds: Vec<f64> = ds
-        .configs
-        .iter()
-        .map(|c| p.predict(c).to_array()[dim])
-        .collect();
-    let truth: Vec<f64> = ds
-        .metrics
-        .iter()
-        .map(|m| m.to_array()[dim].min(clamp))
-        .collect();
-    coefficient_of_determination(&preds, &truth)
+    r2_by_objective(&p, &pairs)[0]
 }
 
 /// Render Figures 4a and 4b.
@@ -143,8 +134,8 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
             all.truncate(n);
             all
         };
-        let r_rand = train_eval(ds, &random, 0);
-        let r_fb = train_eval(ds, &fb, 0);
+        let r_rand = train_eval(ds, &random);
+        let r_fb = train_eval(ds, &fb);
         table.row([
             w.name().to_string(),
             format!("{r_rand:.3}"),

@@ -11,7 +11,12 @@
 
 use std::io::{self, Write};
 
-use mct_core::{Controller, ControllerConfig, ModelKind, Objective, Outcome};
+use mct_core::predictor::LIFETIME_CLAMP_YEARS;
+use mct_core::{
+    Controller, ControllerConfig, MetricsPredictor, ModelKind, NvmConfig, Objective, Outcome,
+};
+use mct_ml::coefficient_of_determination;
+use mct_sim::stats::Metrics;
 use mct_workloads::Workload;
 
 use crate::cache::{derived_key, derived_store};
@@ -78,6 +83,23 @@ pub(crate) fn cached_mct_outcome(
         cfg.warmup_insts = w.warmup_insts();
         let mut controller = Controller::new(cfg, Objective::paper_default(target_years));
         controller.run(&mut w.source(seed))
+    })
+}
+
+/// Score a fitted predictor against measured `(config, metrics)` rows on
+/// every objective at once: each config is predicted once, true values are
+/// clamped at [`LIFETIME_CLAMP_YEARS`] (the predictor's training clamp),
+/// and the coefficient of determination (paper Eq. 3) comes back in
+/// [`Metrics::to_array`] order — IPC, lifetime, energy.
+pub(crate) fn r2_by_objective(p: &MetricsPredictor, eval: &[(NvmConfig, Metrics)]) -> [f64; 3] {
+    let preds: Vec<[f64; 3]> = eval.iter().map(|(c, _)| p.predict(c).to_array()).collect();
+    std::array::from_fn(|dim| {
+        let pred: Vec<f64> = preds.iter().map(|a| a[dim]).collect();
+        let truth: Vec<f64> = eval
+            .iter()
+            .map(|(_, m)| m.to_array()[dim].min(LIFETIME_CLAMP_YEARS))
+            .collect();
+        coefficient_of_determination(&pred, &truth)
     })
 }
 

@@ -87,41 +87,39 @@ impl Regressor for HierarchicalPredictor {
     /// Fit mixture weights from online samples of the new application.
     fn fit(&mut self, data: &Dataset) {
         let k = self.corpus.len();
-        // Design matrix: a[i][j] = app j's value at sample i's config.
+        // Row-major design matrix: a[i * k + j] = app j's value at sample
+        // i's config.
         let n = data.len();
-        let mut a = vec![vec![0.0f64; k]; n];
+        let mut a = vec![0.0f64; n * k];
         let mut y = vec![0.0f64; n];
-        for i in 0..n {
+        for (i, (a_row, y_i)) in a.chunks_exact_mut(k).zip(&mut y).enumerate() {
             let (row, t) = data.example(i);
             let key = Self::key(row);
-            y[i] = t;
-            for (j, app) in self.corpus.iter().enumerate() {
-                a[i][j] = app.get(&key).copied().unwrap_or(self.global_mean);
+            *y_i = t;
+            for (a_ij, app) in a_row.iter_mut().zip(&self.corpus) {
+                *a_ij = app.get(&key).copied().unwrap_or(self.global_mean);
             }
         }
         // Projected gradient descent on ||Aw - y||^2 with w >= 0.
         let mut w = vec![1.0 / k as f64; k];
         // Lipschitz-ish step from the column scale.
-        let scale: f64 = a
-            .iter()
-            .flat_map(|r| r.iter())
-            .fold(0.0f64, |m, v| m.max(v.abs()))
-            .max(1e-9);
+        let scale: f64 = a.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-9);
         let step = 1.0 / (scale * scale * k as f64 * n as f64);
+        let mut grad = vec![0.0f64; k];
         for _ in 0..self.iterations {
             // grad = 2 Aᵀ (A w - y)
-            let mut grad = vec![0.0f64; k];
-            for i in 0..n {
-                let mut r = -y[i];
-                for j in 0..k {
-                    r += a[i][j] * w[j];
+            grad.fill(0.0);
+            for (a_row, y_i) in a.chunks_exact(k).zip(&y) {
+                let mut r = -y_i;
+                for (a_ij, w_j) in a_row.iter().zip(&w) {
+                    r += a_ij * w_j;
                 }
-                for j in 0..k {
-                    grad[j] += 2.0 * a[i][j] * r;
+                for (g_j, a_ij) in grad.iter_mut().zip(a_row) {
+                    *g_j += 2.0 * a_ij * r;
                 }
             }
-            for j in 0..k {
-                w[j] = (w[j] - step * grad[j]).max(0.0);
+            for (w_j, g_j) in w.iter_mut().zip(&grad) {
+                *w_j = (*w_j - step * g_j).max(0.0);
             }
         }
         self.weights = w;
