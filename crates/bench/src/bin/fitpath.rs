@@ -4,13 +4,10 @@
 //! Run with `cargo run --release -p mct-bench --bin fitpath [-- [--json] [out.json]]`.
 //! With `--json` the report goes to stdout only (progress lines stay on
 //! stderr) and no file is written unless a path is also given — the mode
-//! CI and scripts consume. The binary deliberately uses only API surface
-//! that exists on both sides of the training overhaul (`lasso_path`,
-//! `GradientBoosting` via struct-update defaults, `MetricsPredictor`)
-//! so the exact same source measures pre- and post-optimization builds
-//! and BENCH_fitpath.json records a like-for-like A/B; the `machine`
-//! block records the host so numbers are never compared across
-//! different boxes by accident.
+//! CI and scripts consume. The measurements use only long-stable API
+//! (`lasso_path`, `GradientBoosting`, `MetricsPredictor`), so the same
+//! measuring code builds against older trees and `BENCH_fitpath.json`
+//! records a like-for-like A/B.
 
 use std::time::Instant;
 
@@ -88,7 +85,6 @@ fn gbrt_fit_ms(data: &Dataset, stages: usize, iters: usize) -> f64 {
                 min_leaf: 2,
             },
             seed: 7,
-            ..Default::default()
         });
         let start = Instant::now();
         model.fit(data);
@@ -114,16 +110,6 @@ fn refit_ms(kind: ModelKind, iters: usize) -> f64 {
 }
 
 fn main() {
-    let mut json_only = false;
-    let mut out_path: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if arg == "--json" {
-            json_only = true;
-        } else {
-            out_path = Some(arg);
-        }
-    }
-
     eprintln!("measuring quad-lasso CV path...");
     let lasso_data = quad_lasso_data(84);
     let lasso_warm = quad_lasso_path_ms(&lasso_data, 2);
@@ -138,30 +124,18 @@ fn main() {
     let refit_gbrt_ms = refit_ms(ModelKind::GradientBoosting, 3);
     let refit_lasso_ms = refit_ms(ModelKind::QuadraticLasso, 3);
 
-    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let json = format!(
-        "{{\n  \"machine\": {{\n    \"nproc\": {nproc},\n    \"os\": \"{}\",\n    \
-         \"arch\": \"{}\"\n  }},\n  \
-         \"quad_lasso_rows\": {},\n  \"quad_lasso_lambdas\": 30,\n  \
-         \"quad_lasso_folds\": 5,\n  \"quad_lasso_cv_path_ms\": {lasso_ms:.3},\n  \
-         \"gbrt_rows\": {},\n  \"gbrt_stages\": 80,\n  \"gbrt_fit_ms\": {gbrt_ms:.3},\n  \
-         \"refit_gbrt_ms\": {refit_gbrt_ms:.3},\n  \
-         \"refit_quad_lasso_ms\": {refit_lasso_ms:.3}\n}}\n",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-        lasso_data.len(),
-        tree_data.len(),
+    mct_bench::emit_snapshot(
+        "BENCH_fitpath.json",
+        &[
+            ("quad_lasso_rows", lasso_data.len().to_string()),
+            ("quad_lasso_lambdas", "30".into()),
+            ("quad_lasso_folds", "5".into()),
+            ("quad_lasso_cv_path_ms", format!("{lasso_ms:.3}")),
+            ("gbrt_rows", tree_data.len().to_string()),
+            ("gbrt_stages", "80".into()),
+            ("gbrt_fit_ms", format!("{gbrt_ms:.3}")),
+            ("refit_gbrt_ms", format!("{refit_gbrt_ms:.3}")),
+            ("refit_quad_lasso_ms", format!("{refit_lasso_ms:.3}")),
+        ],
     );
-    print!("{json}");
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &json).expect("write bench json");
-            eprintln!("wrote {path}");
-        }
-        None if !json_only => {
-            std::fs::write("BENCH_fitpath.json", &json).expect("write bench json");
-            eprintln!("wrote BENCH_fitpath.json");
-        }
-        None => {}
-    }
 }

@@ -6,8 +6,8 @@
 //! stderr) and no file is written unless a path is also given — the mode
 //! CI and scripts consume. The same binary measures pre- and
 //! post-optimization builds so perf PRs can record a like-for-like
-//! trajectory; the `machine` block records the host so numbers are never
-//! compared across different boxes by accident.
+//! trajectory. The sweep spreads over `MCT_WORKERS` threads (default:
+//! every core).
 
 use std::time::Instant;
 
@@ -100,16 +100,6 @@ fn predict_all_ms(kind: ModelKind, space: &ConfigSpace, iters: usize) -> f64 {
 }
 
 fn main() {
-    let mut json_only = false;
-    let mut out_path: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if arg == "--json" {
-            json_only = true;
-        } else {
-            out_path = Some(arg);
-        }
-    }
-
     eprintln!("measuring event loop...");
     let ev_warm = event_loop_accesses_per_sec(50_000);
     let ev = event_loop_accesses_per_sec(200_000).max(ev_warm);
@@ -122,28 +112,15 @@ fn main() {
     let gbrt_ms = predict_all_ms(ModelKind::GradientBoosting, &space, 5);
     let lasso_ms = predict_all_ms(ModelKind::QuadraticLasso, &space, 5);
 
-    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let json = format!(
-        "{{\n  \"machine\": {{\n    \"nproc\": {nproc},\n    \"os\": \"{}\",\n    \
-         \"arch\": \"{}\"\n  }},\n  \
-         \"event_loop_accesses_per_sec\": {ev:.0},\n  \
-         \"sweep_configs\": {n_sweep},\n  \"sweep_wall_ms\": {sweep_ms:.1},\n  \
-         \"predict_all_configs\": {},\n  \"predict_all_gbrt_ms\": {gbrt_ms:.3},\n  \
-         \"predict_all_quad_lasso_ms\": {lasso_ms:.3}\n}}\n",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-        space.len()
+    mct_bench::emit_snapshot(
+        "BENCH_hotpath.json",
+        &[
+            ("event_loop_accesses_per_sec", format!("{ev:.0}")),
+            ("sweep_configs", n_sweep.to_string()),
+            ("sweep_wall_ms", format!("{sweep_ms:.1}")),
+            ("predict_all_configs", space.len().to_string()),
+            ("predict_all_gbrt_ms", format!("{gbrt_ms:.3}")),
+            ("predict_all_quad_lasso_ms", format!("{lasso_ms:.3}")),
+        ],
     );
-    print!("{json}");
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &json).expect("write bench json");
-            eprintln!("wrote {path}");
-        }
-        None if !json_only => {
-            std::fs::write("BENCH_hotpath.json", &json).expect("write bench json");
-            eprintln!("wrote BENCH_hotpath.json");
-        }
-        None => {}
-    }
 }

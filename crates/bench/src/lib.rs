@@ -1,8 +1,10 @@
 //! # mct-bench — benchmark support
 //!
-//! The Criterion benchmarks live in `benches/`; this library crate hosts
-//! the shared fixtures they use (synthetic sample sets, pre-built spaces)
-//! so each bench measures the operation, not fixture construction.
+//! The Criterion benchmarks live in `benches/` and the wall-clock
+//! snapshot binaries (`hotpath`, `fitpath`) in `src/bin/`; this library
+//! crate hosts the shared fixtures they use (synthetic sample sets,
+//! pre-built spaces) so each measures the operation, not fixture
+//! construction, and the snapshot binaries' shared JSON output step.
 
 #![warn(missing_docs)]
 
@@ -51,6 +53,49 @@ pub fn synthetic_corpus(apps: usize) -> Vec<Vec<(NvmConfig, Metrics)>> {
                 .collect()
         })
         .collect()
+}
+
+/// Report a snapshot binary's measurements: `fields` are `(key, value)`
+/// pairs with the value already formatted as a JSON number, written in
+/// order after a `machine` block (nproc, OS, arch) that keeps numbers
+/// from being compared across different boxes by accident.
+///
+/// The JSON always goes to stdout. Command line `[--json] [out.json]`:
+/// a path writes the report there; with no path it is written to
+/// `default_path` unless `--json` asks for stdout only (the mode CI and
+/// scripts consume).
+///
+/// # Panics
+/// Panics if the report file cannot be written.
+pub fn emit_snapshot(default_path: &str, fields: &[(&str, String)]) {
+    let mut json_only = false;
+    let mut out_path: Option<String> = None;
+    for arg in std::env::args().skip(1) {
+        if arg == "--json" {
+            json_only = true;
+        } else {
+            out_path = Some(arg);
+        }
+    }
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut json = format!(
+        "{{\n  \"machine\": {{\n    \"nproc\": {nproc},\n    \"os\": \"{}\",\n    \
+         \"arch\": \"{}\"\n  }}",
+        std::env::consts::OS,
+        std::env::consts::ARCH,
+    );
+    for (key, value) in fields {
+        json.push_str(&format!(",\n  \"{key}\": {value}"));
+    }
+    json.push_str("\n}\n");
+    print!("{json}");
+    let path = match out_path {
+        Some(path) => path,
+        None if !json_only => default_path.to_string(),
+        None => return,
+    };
+    std::fs::write(&path, &json).expect("write bench json");
+    eprintln!("wrote {path}");
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use mct_sim::system::{MultiSystem, SystemConfig};
 use mct_workloads::{Mix, WorkloadSource};
 
 use crate::scale::Scale;
-use crate::sched::run_grains;
+use crate::sched::{default_workers, run_grains};
 
 /// Which policy a mix run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,12 +131,12 @@ fn run_on_rig(
             let unit = (detailed / 16).max(10_000);
             let (baseline, _, _) =
                 rig.measure(&NvmConfig::static_baseline().without_wear_quota(), unit);
-            let threads =
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
             let measured: Vec<(NvmConfig, Metrics)> = samples
                 .iter()
                 .copied()
-                .zip(run_grains(&samples, threads, |c| rig.measure(c, unit).0))
+                .zip(run_grains(&samples, default_workers(), |c| {
+                    rig.measure(c, unit).0
+                }))
                 .collect();
             let mut predictor = MetricsPredictor::new(ModelKind::GradientBoosting);
             predictor.fit(&measured, Some(baseline));

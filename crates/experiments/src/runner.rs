@@ -228,10 +228,11 @@ pub fn measure_one(workload: Workload, cfg: &NvmConfig, scale: Scale, seed: u64)
 }
 
 /// Brute-force sweep: metrics for every configuration in `configs`,
-/// parallelized over the available cores.
+/// spread over [`crate::sched::default_workers`] threads (`MCT_WORKERS`,
+/// else the available cores).
 #[must_use]
 pub fn sweep(workload: Workload, configs: &[NvmConfig], scale: Scale, seed: u64) -> Vec<Metrics> {
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let threads = crate::sched::default_workers();
     sweep_with_threads(workload, configs, scale, seed, threads)
 }
 

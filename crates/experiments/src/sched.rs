@@ -7,12 +7,10 @@
 //! back half of a victim's, so a run of slow grains (one workload's
 //! configs are not uniformly priced) cannot strand work on one core.
 //!
-//! The deal/steal/reassemble engine itself lives in [`mct_ml::par`]
-//! (the GBRT split search fans over the same scheduler, and `mct-ml`
-//! sits below this crate in the dependency order); this module owns the
-//! pipeline-facing policy around it: `MCT_WORKERS` resolution and the
-//! per-worker executed/stolen/busy accounting recorded into
-//! [`mct_telemetry::pipeline_stats`] for `mct report`.
+//! The deal/steal/reassemble engine itself lives in [`mct_ml::par`];
+//! this module owns the pipeline-facing policy around it: `MCT_WORKERS`
+//! resolution and the per-worker executed/stolen/busy accounting
+//! recorded into [`mct_telemetry::pipeline_stats`] for `mct report`.
 //!
 //! Results are keyed by input index and reassembled after the join, so
 //! output order — and therefore every downstream figure — is identical

@@ -24,15 +24,6 @@ pub struct GradientBoostingParams {
     pub tree: TreeParams,
     /// RNG seed for subsampling.
     pub seed: u64,
-    /// Worker threads for the per-feature split scan (`0` or `1` =
-    /// serial; the controller's small fits stay serial by default).
-    /// Fitted models are bit-identical at any worker count —
-    /// parallelism is a throughput knob, never a model hyperparameter,
-    /// which is also why serialized params written before this field
-    /// existed deserialize with `workers = 0` (serial) and still name
-    /// the same model.
-    #[serde(default)]
-    pub workers: usize,
 }
 
 impl Default for GradientBoostingParams {
@@ -43,7 +34,6 @@ impl Default for GradientBoostingParams {
             subsample: 0.8,
             tree: TreeParams::default(),
             seed: 7,
-            workers: 1,
         }
     }
 }
@@ -116,7 +106,7 @@ impl Regressor for GradientBoosting {
             idx.shuffle(&mut rng);
             idx.truncate(take);
             let mut tree = RegressionTree::new(self.params.tree);
-            tree.fit_in(&mut ws, data.rows(), &residuals, &idx, self.params.workers);
+            tree.fit_in(&mut ws, data.rows(), &residuals, &idx);
             for (i, p) in pred.iter_mut().enumerate() {
                 *p += self.params.learning_rate * tree.predict(&data.rows()[i]);
             }

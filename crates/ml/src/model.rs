@@ -64,10 +64,9 @@ pub trait Regressor {
     ///
     /// Fits must be deterministic functions of `(data, hyperparameters)`:
     /// two fits on the same inputs produce models whose predictions are
-    /// bit-identical, regardless of training-time parallelism (see the
-    /// worker-count contract on [`crate::GradientBoostingParams`]) or
-    /// solver warm starts (see `crate::path`). The controller's refit
-    /// elision and the golden-trace suites both lean on this.
+    /// bit-identical, regardless of solver warm starts (see
+    /// `crate::path`). The controller's refit elision and the
+    /// golden-trace suites both lean on this.
     fn fit(&mut self, data: &Dataset);
 
     /// Predict the target for one feature row.

@@ -1,19 +1,15 @@
-//! Work-stealing fork/join engine for training-time parallelism.
+//! Work-stealing fork/join engine.
 //!
-//! This is the generic core of the PR 3 grain scheduler, hoisted out of
-//! `mct-experiments` so that `crates/ml` — which sits *below* the
-//! experiment pipeline in the dependency order — can fan per-feature
-//! split scans across threads without a circular dependency. The
-//! experiments crate re-wraps [`run_grains_tallied`] and layers its
-//! pipeline-stats recording on top; this module stays dependency-free.
+//! The generic, dependency-free core of the experiment pipeline's grain
+//! scheduler. The experiments crate re-wraps [`run_grains_tallied`] and
+//! layers its pipeline-stats recording on top; `tests/steal_schedule.rs`
+//! model-checks the deal/steal protocol here.
 //!
-//! Scheduling is identical to the pipeline scheduler: item index `i` is
-//! dealt round-robin to worker `i % workers`, a drained worker steals the
-//! back half of the fullest victim's deque, and results are reassembled
-//! by input index after the join. Output order — and therefore every
-//! downstream reduction — is independent of how the work was scheduled
-//! or stolen, which is what lets the GBRT split search promise
-//! bit-identical trees at any worker count.
+//! Item index `i` is dealt round-robin to worker `i % workers`, a
+//! drained worker steals the back half of the fullest victim's deque,
+//! and results are reassembled by input index after the join. Output
+//! order — and therefore every downstream reduction — is independent of
+//! how the work was scheduled or stolen.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

@@ -10,23 +10,19 @@
 //! built once and reused across every boosting stage. Each stage derives
 //! its root order by filtering that master order against the subsample
 //! mask — no per-node or per-stage sorting — and children inherit their
-//! parents' orders through stable partitions. The split *scan* over each
-//! feature is independent of every other feature, so it can fan across
-//! the work-stealing scheduler ([`crate::par`]); the argmax reduce runs
-//! serially in feature order with a strict-`>` comparison (ties keep the
-//! lowest feature index, then the lowest threshold), making fitted trees
-//! bit-identical at any worker count.
+//! parents' orders through stable partitions. The split search scans
+//! the features serially in index order and keeps the first strict-`>`
+//! maximum (ties keep the lowest feature index, then the lowest
+//! threshold), so a fitted tree is a pure function of its rows, targets,
+//! subsample set and params. Paper-scale fits (tens to a few hundred rows
+//! of about a dozen features) are too small for a threaded scan to pay
+//! for its spawns.
 
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::linalg::Matrix;
 use crate::model::Regressor;
-
-/// Minimum `members × features` work in a node before the per-feature
-/// split scan is worth fanning across threads; below this the spawn cost
-/// of a scheduler round dwarfs the scan itself.
-const PAR_MIN_WORK: usize = 32_768;
 
 /// Reusable presorted split-search state for one dataset.
 ///
@@ -53,8 +49,6 @@ pub struct SplitWorkspace {
     /// stable partitions test one byte instead of re-deriving the
     /// predicate from the feature value each time.
     side: Vec<bool>,
-    /// Feature indices, the fan-out items for the parallel scan.
-    feats: Vec<usize>,
     /// Recycled index buffers for node lists.
     pool: Vec<Vec<u32>>,
 }
@@ -84,7 +78,6 @@ impl SplitWorkspace {
             cols,
             in_sample: vec![false; n],
             side: vec![false; n],
-            feats: (0..dim).collect(),
             pool: Vec::new(),
         }
     }
@@ -100,7 +93,6 @@ struct FitCtx<'a> {
     cols: &'a [Vec<f64>],
     targets: &'a [f64],
     params: TreeParams,
-    workers: usize,
 }
 
 /// Tree growth controls.
@@ -194,25 +186,21 @@ impl RegressionTree {
 
     /// Fit on a subset of example indices (gradient boosting trains each
     /// stage on a subsample). One-shot wrapper over [`Self::fit_in`] with
-    /// a throwaway workspace and a serial split search.
+    /// a throwaway workspace.
     ///
     /// # Panics
     /// Panics if `idx` is empty.
     pub fn fit_indices(&mut self, data: &Dataset, idx: &[usize]) {
         let mut ws = SplitWorkspace::for_rows(data.rows());
-        self.fit_in(&mut ws, data.rows(), data.targets(), idx, 1);
+        self.fit_in(&mut ws, data.rows(), data.targets(), idx);
     }
 
-    /// Fit over `idx` using a prebuilt [`SplitWorkspace`] for `rows`,
-    /// fanning the per-feature split scan over `workers` threads when the
-    /// node is large enough to amortize a scheduler round.
+    /// Fit over `idx` using a prebuilt [`SplitWorkspace`] for `rows`.
     ///
     /// The fitted tree is a pure function of `(rows, targets, idx-as-set,
     /// params)`: candidate scans always run in the workspace's
-    /// `(value, row index)` order and the argmax reduce is serial in
-    /// feature order, so neither the order of `idx` nor the worker count
-    /// changes a single bit of the result (pinned by the release-mode
-    /// `fit_differential` suite).
+    /// `(value, row index)` order, so the order of `idx` changes not a
+    /// single bit of the result.
     ///
     /// # Panics
     /// Panics if `idx` is empty, contains duplicates or out-of-range rows,
@@ -223,7 +211,6 @@ impl RegressionTree {
         rows: &[Vec<f64>],
         targets: &[f64],
         idx: &[usize],
-        workers: usize,
     ) {
         assert!(!idx.is_empty(), "cannot fit on zero examples");
         assert_eq!(ws.n_rows, rows.len(), "workspace/dataset row mismatch");
@@ -256,7 +243,6 @@ impl RegressionTree {
             cols: &ws.cols,
             targets,
             params: self.params,
-            workers: workers.max(1),
         };
         let mut nodes = FlatNodes::default();
         let root = build_sorted(
@@ -264,7 +250,6 @@ impl RegressionTree {
             &mut nodes,
             &mut ws.pool,
             &mut ws.side,
-            &ws.feats,
             root_lists,
             members,
             0,
@@ -386,13 +371,11 @@ impl RegressionTree {
 /// Grow the subtree whose examples are `members` (row indices ascending)
 /// with per-feature scan orders `lists`, returning its node index.
 /// Consumed buffers are recycled into `pool`.
-#[allow(clippy::too_many_arguments)]
 fn build_sorted(
     ctx: &FitCtx<'_>,
     nodes: &mut FlatNodes,
     pool: &mut Vec<Vec<u32>>,
     side: &mut [bool],
-    feats: &[usize],
     lists: Vec<Vec<u32>>,
     members: Vec<u32>,
     depth: usize,
@@ -411,7 +394,7 @@ fn build_sorted(
         recycle(pool, lists, members);
         return nodes.push_leaf(mean);
     }
-    let Some((feature, threshold)) = best_split_sorted(ctx, feats, &lists, total_sum, m) else {
+    let Some((feature, threshold)) = best_split_sorted(ctx, &lists, total_sum, m) else {
         recycle(pool, lists, members);
         return nodes.push_leaf(mean);
     };
@@ -461,22 +444,12 @@ fn build_sorted(
     }
     pool.push(members);
     let id = nodes.push_split(feature, threshold);
-    let l = build_sorted(
-        ctx,
-        nodes,
-        pool,
-        side,
-        feats,
-        left_lists,
-        left_members,
-        depth + 1,
-    );
+    let l = build_sorted(ctx, nodes, pool, side, left_lists, left_members, depth + 1);
     let r = build_sorted(
         ctx,
         nodes,
         pool,
         side,
-        feats,
         right_lists,
         right_members,
         depth + 1,
@@ -489,32 +462,19 @@ fn build_sorted(
 /// Exhaustive variance-reduction split search over midpoints of adjacent
 /// distinct feature values, scanning each feature's presorted order.
 ///
-/// Per-feature scans are mutually independent; with `workers > 1` and
-/// enough work they fan across [`crate::par::run_grains`]. The reduce is
-/// always serial in ascending feature order with a strict `>`, so the
-/// winner — and on ties the lowest feature index, then (within a feature)
-/// the lowest threshold — is identical at any worker count.
+/// Features are scanned in ascending index order with a strict `>`, so on
+/// ties the winner is the lowest feature index, then (within a feature)
+/// the lowest threshold.
 fn best_split_sorted(
     ctx: &FitCtx<'_>,
-    feats: &[usize],
     lists: &[Vec<u32>],
     total_sum: f64,
     m: usize,
 ) -> Option<(usize, f64)> {
-    if lists.is_empty() {
-        return None;
-    }
     let n = m as f64;
-    let scan = |&f: &usize| scan_feature(ctx, &lists[f], f, total_sum, n);
-    let per_feature: Vec<Option<(f64, f64)>> =
-        if ctx.workers > 1 && m.saturating_mul(lists.len()) >= PAR_MIN_WORK {
-            crate::par::run_grains(feats, ctx.workers, scan)
-        } else {
-            feats.iter().map(scan).collect()
-        };
     let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
-    for (f, cand) in per_feature.into_iter().enumerate() {
-        if let Some((threshold, score)) = cand {
+    for (f, list) in lists.iter().enumerate() {
+        if let Some((threshold, score)) = scan_feature(ctx, list, f, total_sum, n) {
             if best.is_none_or(|(_, _, s)| score > s) {
                 best = Some((f, threshold, score));
             }

@@ -1,20 +1,19 @@
 //! Release-mode differential suite for the fast fit paths.
 //!
-//! The training overhaul (warm-started lasso paths, fold-cached CV,
-//! parallel GBRT split search) promises *bit-identity*, not just
-//! closeness: warm-started coordinate descent must land on the same
-//! `to_bits()` fixpoint as a cold start, and a GBRT fit must produce the
-//! same trees at any worker count. These tests pin that contract on
-//! realistic problem shapes (quadratic-expanded feature spaces, many
-//! boosting stages) plus the degenerate shapes the controller can feed
-//! the learners (single row, constant target, oversized k).
+//! The training overhaul (warm-started lasso paths, fold-cached CV)
+//! promises *bit-identity*, not just closeness: warm-started coordinate
+//! descent must land on the same `to_bits()` fixpoint as a cold start.
+//! These tests pin that contract on realistic problem shapes
+//! (quadratic-expanded feature spaces) plus the degenerate shapes the
+//! controller can feed the learners (single row, constant target,
+//! oversized k).
 //!
 //! Run in release (CI's determinism job does): optimization levels must
 //! not change the bits either.
 
 use mct_ml::{
     lasso_path_fits, quadratic_expand, Dataset, GradientBoosting, GradientBoostingParams,
-    HierarchicalPredictor, LassoFoldCache, Regressor, TreeParams,
+    HierarchicalPredictor, LassoFoldCache, Regressor,
 };
 
 /// A deterministic, mildly noisy nonlinear dataset, quadratic-expanded
@@ -35,24 +34,6 @@ fn quad_data(n: usize) -> Dataset {
             let c = ((i * 3) % 17) as f64 / 4.0;
             3.0 * a - 1.5 * a * c + 0.25 * c * c + ((i * 5) % 7) as f64 * 0.01
         })
-        .collect();
-    Dataset::from_rows(rows, y)
-}
-
-fn raw_data(n: usize) -> Dataset {
-    let rows: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            vec![
-                (i % 10) as f64,
-                ((i * 13) % 29) as f64,
-                ((i * 7) % 5) as f64,
-                ((i * 3) % 4) as f64,
-            ]
-        })
-        .collect();
-    let y: Vec<f64> = rows
-        .iter()
-        .map(|r| (r[0] * r[2]).sin() * 4.0 + r[1] * 0.3 - r[3])
         .collect();
     Dataset::from_rows(rows, y)
 }
@@ -96,54 +77,6 @@ fn warm_lasso_path_cv_scores_match_cold_bitwise() {
     let cold = lasso_path_fits(&cache, 1e-2, 10.0, 8, false);
     for (w, c) in warm.iter().zip(&cold) {
         assert_eq!(w.cv_r2.to_bits(), c.cv_r2.to_bits(), "lambda={}", w.lambda);
-    }
-}
-
-fn gbrt_with_workers(data: &Dataset, workers: usize) -> GradientBoosting {
-    let mut model = GradientBoosting::new(GradientBoostingParams {
-        stages: 60,
-        learning_rate: 0.1,
-        subsample: 0.8,
-        tree: TreeParams {
-            max_depth: 4,
-            min_leaf: 2,
-        },
-        seed: 7,
-        workers,
-    });
-    model.fit(data);
-    model
-}
-
-#[test]
-fn parallel_gbrt_trees_are_bitwise_equal_at_any_worker_count() {
-    // Large enough that the per-feature scan actually crosses the
-    // parallelism threshold at the root nodes.
-    let data = raw_data(9000);
-    let serial = gbrt_with_workers(&data, 1);
-    for workers in [2usize, 8] {
-        let parallel = gbrt_with_workers(&data, workers);
-        assert_eq!(serial.n_stages(), parallel.n_stages(), "workers={workers}");
-        for (s, p) in serial.stage_trees().iter().zip(parallel.stage_trees()) {
-            assert_eq!(s, p, "a stage tree diverged at workers={workers}");
-        }
-        for i in 0..data.len() {
-            assert_eq!(
-                serial.predict(&data.rows()[i]).to_bits(),
-                parallel.predict(&data.rows()[i]).to_bits(),
-                "prediction diverged at row {i}, workers={workers}"
-            );
-        }
-    }
-}
-
-#[test]
-fn oversized_worker_counts_are_harmless() {
-    let data = raw_data(2000);
-    let serial = gbrt_with_workers(&data, 1);
-    let absurd = gbrt_with_workers(&data, 200);
-    for (s, p) in serial.stage_trees().iter().zip(absurd.stage_trees()) {
-        assert_eq!(s, p);
     }
 }
 

@@ -98,6 +98,14 @@ fn gbrt_roundtrips_bit_identically() {
         "fit must produce stages for the test to mean anything"
     );
     let saved = m.save().expect("gbrt has a snapshot form");
+    // Snapshots written while the params still carried a split-scan
+    // thread count (`"workers":1` after the seed) must keep loading:
+    // the unknown key is ignored.
+    let json = serde_json::to_string(&saved).expect("serialize model");
+    let legacy_json = json.replacen("\"seed\":7}", "\"seed\":7,\"workers\":1}", 1);
+    assert_ne!(legacy_json, json, "the params object must take the key");
+    let legacy: SavedRegressor = serde_json::from_str(&legacy_json).expect("legacy snapshot loads");
+    assert_bit_identical(&m, legacy);
     assert_bit_identical(&m, saved);
 }
 
