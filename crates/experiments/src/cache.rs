@@ -141,7 +141,7 @@ impl<V: Serialize + Deserialize + Clone> Store<V> {
         let (log, frames, torn) = match StateStore::open(&dir) {
             Ok((log, replay)) => (log, replay.records, replay.torn.is_some()),
             Err(e) => {
-                stats.add_corrupt_discarded(1);
+                stats.add("pipeline.corrupt_discarded", 1);
                 eprintln!(
                     "note: cache shard {} is damaged ({e}); recreating it empty and re-measuring",
                     dir.display()
@@ -168,8 +168,8 @@ impl<V: Serialize + Deserialize + Clone> Store<V> {
             }
         }
         if stale + corrupt > 0 {
-            stats.add_stale_discarded(stale);
-            stats.add_corrupt_discarded(corrupt);
+            stats.add("pipeline.stale_discarded", stale);
+            stats.add("pipeline.corrupt_discarded", corrupt);
             eprintln!(
                 "note: cache shard {}: discarded {stale} stale (cache version != {CACHE_VERSION}) \
                  and {corrupt} corrupt or torn entries; re-measuring",
@@ -258,7 +258,7 @@ impl DerivedStore {
         match T::deserialize_content(&val) {
             Ok(t) => Some(t),
             Err(_) => {
-                pipeline_stats().add_corrupt_discarded(1);
+                pipeline_stats().add("pipeline.corrupt_discarded", 1);
                 eprintln!(
                     "note: cached derived result {key:#018x} in {} failed to decode; re-computing",
                     self.dir.display()
@@ -286,11 +286,11 @@ impl DerivedStore {
         F: FnOnce() -> T,
     {
         if let Some(v) = self.get_as::<T>(key) {
-            pipeline_stats().add_cache_hits(1);
+            pipeline_stats().add("pipeline.cache_hits", 1);
             return v;
         }
         let v = compute();
-        pipeline_stats().add_grains_executed(1);
+        pipeline_stats().add("pipeline.grains_executed", 1);
         self.record(key, &v);
         v
     }
@@ -448,7 +448,7 @@ pub fn load_or_compute_sweeps(
         }
         plans.push((store, keys));
     }
-    stats.add_cache_hits(hits);
+    stats.add("pipeline.cache_hits", hits);
 
     if !misses.is_empty() {
         let workers = default_workers();
@@ -547,11 +547,11 @@ pub fn cached_measurement(
 ) -> Metrics {
     let stats = pipeline_stats();
     if let Some(m) = store.get(key) {
-        stats.add_cache_hits(1);
+        stats.add("pipeline.cache_hits", 1);
         return m;
     }
     let m = measure();
-    stats.add_grains_executed(1);
+    stats.add("pipeline.grains_executed", 1);
     store.record(key, m);
     m
 }

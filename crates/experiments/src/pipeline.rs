@@ -2,67 +2,45 @@
 //!
 //! Every experiment binary calls [`finish`] before exiting: it prints a
 //! one-line `pipeline total:` summary to stderr (stable format, grepped
-//! by the CI cache-smoke step), appends an
-//! [`Event::PipelineCompleted`] record to the pipeline trace under the
-//! data dir (where `mct report` renders scheduler utilization, cache
-//! hit rates, and warm-rig accounting), and overwrites a Prometheus
-//! text exposition of the same counters — including per-worker labeled
-//! series — for scrape-style consumption.
+//! by the CI cache-smoke step) and appends the process pipeline registry
+//! as an [`Event::MetricsRegistry`] record to the pipeline trace under
+//! the data dir. `mct report` renders the counters (scheduler rounds and
+//! per-worker series, cache hits and discards, warm-rig accounting) and
+//! `mct metrics` exposes them in the Prometheus text format; the last
+//! record is the whole run's picture, since the counters only grow.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use mct_telemetry::{pipeline_stats, render_prometheus, Event, Record, Registry};
+use mct_telemetry::{pipeline_stats, Event, Record};
 
 use crate::cache::data_dir;
 
 /// The pipeline trace file (JSONL of [`Record`]s, renderable with
-/// `mct report`).
+/// `mct report` and `mct metrics`).
 #[must_use]
 pub fn trace_path() -> PathBuf {
     data_dir().join("pipeline_trace.jsonl")
-}
-
-/// The pipeline metrics exposition file (Prometheus text format,
-/// overwritten by the most recent [`finish`]).
-#[must_use]
-pub fn metrics_path() -> PathBuf {
-    data_dir().join("pipeline_metrics.prom")
 }
 
 /// Snapshot the process pipeline counters, print the summary line, and
 /// append a trace record. No-op for processes that did no pipeline work
 /// (e.g. `config_space`, which only enumerates).
 pub fn finish() {
-    let snapshot = pipeline_stats().snapshot();
-    if snapshot.grains_total() == 0 && snapshot.rig_warmups == 0 {
+    let stats = pipeline_stats();
+    let summary = stats.snapshot();
+    if summary.grains_total() == 0 && summary.rig_warmups == 0 {
         return;
     }
-    eprintln!("pipeline total: {}", snapshot.summary_line());
-    // Bridge the counters into a labeled registry and expose them; the
-    // last binary in a sweep wins, which is the sweep's full picture
-    // since the process-global stats accumulate monotonically.
-    let mut registry = Registry::default();
-    snapshot.to_registry(&mut registry);
-    let prom_path = metrics_path();
-    let prom_write = || -> std::io::Result<()> {
-        if let Some(dir) = prom_path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        fs::write(&prom_path, render_prometheus(&registry.snapshot()))
-    };
-    if let Err(e) = prom_write() {
-        eprintln!(
-            "warning: could not write pipeline metrics {}: {e}",
-            prom_path.display()
-        );
-    }
+    eprintln!("pipeline total: {}", summary.summary_line());
     let record = Record {
         seq: 0,
         sim_insts: 0,
         wall_us: 0,
-        event: Event::PipelineCompleted { snapshot },
+        event: Event::MetricsRegistry {
+            snapshot: stats.registry().snapshot(),
+        },
     };
     let path = trace_path();
     let write = || -> std::io::Result<()> {
@@ -91,6 +69,5 @@ mod tests {
     #[test]
     fn trace_path_follows_data_dir() {
         assert!(trace_path().ends_with("pipeline_trace.jsonl"));
-        assert!(metrics_path().ends_with("pipeline_metrics.prom"));
     }
 }

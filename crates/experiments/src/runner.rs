@@ -56,9 +56,9 @@ impl WarmedRig {
         let mut src = workload.source(seed);
         sys.warmup(&mut src, workload.warmup_insts());
         let stats = pipeline_stats();
-        stats.add_rig_warmups(1);
-        stats.add_warmup_us(t0.elapsed().as_micros() as u64);
-        stats.add_snapshot_bytes(sys.snapshot_bytes() as u64);
+        stats.add("pipeline.rig_warmups", 1);
+        stats.add("pipeline.warmup_us", t0.elapsed().as_micros() as u64);
+        stats.add("pipeline.snapshot_bytes", sys.snapshot_bytes() as u64);
         WarmedRig {
             sys,
             src,
@@ -82,8 +82,8 @@ impl WarmedRig {
         let mut sys = self.sys.clone();
         let mut src = self.src.clone();
         let stats = pipeline_stats();
-        stats.add_rig_clones(1);
-        stats.add_clone_us(t0.elapsed().as_micros() as u64);
+        stats.add("pipeline.rig_clones", 1);
+        stats.add("pipeline.clone_us", t0.elapsed().as_micros() as u64);
         sys.set_policy(policy);
         sys.reset_stats();
         sys.run_window(&mut src, self.detailed_insts);
@@ -122,8 +122,8 @@ impl WarmedRig {
             })
             .collect();
         let stats = pipeline_stats();
-        stats.add_rig_clones(cfgs.len() as u64);
-        stats.add_clone_us(t0.elapsed().as_micros() as u64);
+        stats.add("pipeline.rig_clones", cfgs.len() as u64);
+        stats.add("pipeline.clone_us", t0.elapsed().as_micros() as u64);
         let mut src = self.src.clone();
         let mut set = RigSet::new(systems);
         set.run_window_shared(&mut src, self.detailed_insts, slice_insts);
@@ -216,7 +216,7 @@ pub fn shared_rig(workload: Workload, seed: u64, detailed_insts: u64) -> Arc<Rig
             }),
     );
     if cell.cell.get().is_some() {
-        pipeline_stats().add_rig_reuses(1);
+        pipeline_stats().add("pipeline.rig_reuses", 1);
     }
     cell
 }

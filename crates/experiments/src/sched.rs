@@ -9,8 +9,10 @@
 //!
 //! The deal/steal/reassemble engine itself lives in [`mct_ml::par`];
 //! this module owns the pipeline-facing policy around it: `MCT_WORKERS`
-//! resolution and the per-worker executed/stolen/busy accounting
-//! recorded into [`mct_telemetry::pipeline_stats`] for `mct report`.
+//! resolution and the per-worker executed/stolen/busy accounting,
+//! written as `pipeline.worker.*{worker="<i>"}` series into the
+//! process-wide [`mct_telemetry::pipeline_stats`] registry, which
+//! `mct report` and `mct metrics` render from the pipeline trace.
 //!
 //! Results are keyed by input index and reassembled after the join, so
 //! output order — and therefore every downstream figure — is identical
@@ -18,7 +20,7 @@
 
 use std::num::NonZeroUsize;
 
-use mct_telemetry::{pipeline_stats, WorkerStat};
+use mct_telemetry::pipeline_stats;
 
 /// How the worker count was decided.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,18 +37,30 @@ pub struct WorkersPlan {
 ///
 /// A set-but-garbage `MCT_WORKERS` (`0`, `-3`, `lots`, empty) must not
 /// be silently swallowed — the user asked for a specific parallelism and
-/// is getting something else. The rejection is reported once on stderr
-/// and recorded into [`mct_telemetry::pipeline_stats`] so it surfaces in
-/// `mct report`.
+/// is getting something else. The first rejection is reported on stderr
+/// and recorded as `pipeline.workers_fallback{reason="..."}` so it
+/// surfaces in `mct report`.
 #[must_use]
 pub fn default_workers() -> usize {
     let plan = workers_plan(std::env::var("MCT_WORKERS").ok().as_deref());
     if let Some(reason) = &plan.fallback_reason {
-        pipeline_stats().set_workers_fallback(reason);
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        WARNED.call_once(|| eprintln!("warning: {reason}"));
+        note_fallback(reason);
     }
     plan.workers
+}
+
+/// Warn about a rejected `MCT_WORKERS` and record why, once per process:
+/// the first reason wins.
+fn note_fallback(reason: &str) {
+    static NOTED: std::sync::Once = std::sync::Once::new();
+    NOTED.call_once(|| {
+        eprintln!("warning: {reason}");
+        pipeline_stats().registry().incr_with(
+            "pipeline.workers_fallback",
+            &[("reason", reason)],
+            1,
+        );
+    });
 }
 
 /// [`default_workers`] with the env value injected and the fallback
@@ -85,7 +99,7 @@ pub fn workers_plan(env: Option<&str>) -> WorkersPlan {
 /// counts as *stolen* when a different worker ends up executing it.
 /// With `workers == 1` (or one item) the batch runs inline with no
 /// thread spawns. Either way one scheduler round is recorded into the
-/// process pipeline stats.
+/// process pipeline registry.
 ///
 /// # Panics
 /// Propagates any panic raised by `f`.
@@ -99,20 +113,20 @@ where
     if tallies.is_empty() {
         return out;
     }
-    let stats: Vec<WorkerStat> = tallies
-        .iter()
-        .map(|t| WorkerStat {
-            executed: t.executed,
-            stolen: t.stolen,
-            busy_us: t.busy_us,
-            wall_us: t.wall_us,
-        })
-        .collect();
-    let total_stolen: u64 = tallies.iter().map(|t| t.stolen).sum();
-    pipeline_stats().record_round(&stats);
-    pipeline_stats().add_grains_executed(items.len() as u64);
-    if total_stolen > 0 {
-        pipeline_stats().add_grains_stolen(total_stolen);
+    let stolen: u64 = tallies.iter().map(|t| t.stolen).sum();
+    let mut registry = pipeline_stats().registry();
+    registry.incr("pipeline.sched_rounds", 1);
+    registry.incr("pipeline.grains_executed", items.len() as u64);
+    if stolen > 0 {
+        registry.incr("pipeline.grains_stolen", stolen);
+    }
+    for (i, t) in tallies.iter().enumerate() {
+        let index = i.to_string();
+        let worker = [("worker", index.as_str())];
+        registry.incr_with("pipeline.worker.executed", &worker, t.executed);
+        registry.incr_with("pipeline.worker.stolen", &worker, t.stolen);
+        registry.incr_with("pipeline.worker.busy_us", &worker, t.busy_us);
+        registry.incr_with("pipeline.worker.wall_us", &worker, t.wall_us);
     }
     out
 }
@@ -198,12 +212,13 @@ mod tests {
     fn records_round_and_executed_counts() {
         // Lower bounds only: the pipeline counters are process-global
         // and other tests run scheduler rounds concurrently.
+        let rounds_before = counter("pipeline.sched_rounds", &[]);
         let before = pipeline_stats().snapshot();
         let items: Vec<u32> = (0..10).collect();
         let _ = run_grains(&items, 3, |&x| x);
         let _ = run_grains(&items[..1], 1, |&x| x);
         let after = pipeline_stats().snapshot();
-        assert!(after.sched_rounds - before.sched_rounds >= 2);
+        assert!(counter("pipeline.sched_rounds", &[]) - rounds_before >= 2);
         assert!(after.grains_executed - before.grains_executed >= 11);
         let executed: u64 = after.workers.iter().map(|w| w.executed).sum();
         let executed_before: u64 = before.workers.iter().map(|w| w.executed).sum();
@@ -249,14 +264,57 @@ mod tests {
         // path directly with a plan the parser rejected.
         let plan = workers_plan(Some("banana"));
         let reason = plan.fallback_reason.expect("rejected");
-        pipeline_stats().set_workers_fallback(&reason);
-        let snap = pipeline_stats().snapshot();
-        // First-reason-wins: another test may have recorded first; either
-        // way the snapshot carries *a* rejection reason for the report.
+        note_fallback(&reason);
+        // First reason wins: another test may have recorded first; either
+        // way the registry carries one rejection reason for the report.
+        let reasons = fallback_reasons();
+        assert_eq!(reasons.len(), 1, "{reasons:?}");
+        assert!(reasons[0].contains("rejected"), "{reasons:?}");
+    }
+
+    #[test]
+    fn workers_fallback_first_reason_wins() {
+        note_fallback("MCT_WORKERS=\"0\" rejected");
+        note_fallback("a later reason");
+        let reasons = fallback_reasons();
         assert!(
-            snap.workers_fallback.contains("rejected"),
-            "{}",
-            snap.workers_fallback
+            !reasons.iter().any(|r| r == "a later reason"),
+            "{reasons:?}"
         );
+    }
+
+    #[test]
+    fn run_grains_round_lands_in_labeled_worker_series() {
+        // Lower bounds only: the pipeline registry is process-global.
+        let worker0 = [("worker", "0")];
+        let executed = counter("pipeline.worker.executed", &worker0);
+        let wall = counter("pipeline.worker.wall_us", &worker0);
+        let items: Vec<u32> = (0..5).collect();
+        let _ = run_grains(&items, 1, |&x| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            x
+        });
+        assert!(counter("pipeline.worker.executed", &worker0) - executed >= 5);
+        assert!(counter("pipeline.worker.wall_us", &worker0) > wall);
+        let exposition = mct_telemetry::render_prometheus(&pipeline_stats().registry().snapshot());
+        assert!(
+            exposition.contains("mct_pipeline_worker_executed_total{worker=\"0\"}"),
+            "{exposition}"
+        );
+    }
+
+    fn counter(name: &str, labels: &[(&str, &str)]) -> u64 {
+        pipeline_stats().registry().counter_with(name, labels)
+    }
+
+    /// Every reason recorded under `pipeline.workers_fallback`.
+    fn fallback_reasons() -> Vec<String> {
+        let counters = pipeline_stats().registry().snapshot().counters;
+        counters
+            .iter()
+            .filter_map(|(series, _)| mct_telemetry::expose::parse_series(series))
+            .filter(|key| key.name == "pipeline.workers_fallback")
+            .flat_map(|key| key.labels.into_iter().map(|(_, reason)| reason))
+            .collect()
     }
 }

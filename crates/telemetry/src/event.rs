@@ -40,15 +40,10 @@ pub enum Event {
         /// Span name, repeated for grep-ability of raw traces.
         name: String,
     },
-    /// A snapshot of the counters/histograms registry, usually emitted
-    /// once at the end of a traced run.
+    /// A snapshot of the counters/histograms registry, emitted once at
+    /// the end of a traced run or of an experiment binary's pipeline.
     MetricsRegistry {
         snapshot: crate::registry::RegistrySnapshot,
-    },
-    /// The experiment pipeline finished: scheduler, measurement-cache and
-    /// warm-rig accounting for the whole run.
-    PipelineCompleted {
-        snapshot: crate::pipeline::PipelineSnapshot,
     },
 }
 
@@ -61,7 +56,6 @@ impl Event {
             Event::SpanOpen { .. } => "span_open",
             Event::SpanClose { .. } => "span_close",
             Event::MetricsRegistry { .. } => "metrics_registry",
-            Event::PipelineCompleted { .. } => "pipeline_completed",
         }
     }
 }

@@ -15,9 +15,10 @@
 //!   ([`histogram`]) for how much work the adaptive machinery did
 //!   (transitions per kind, fallbacks, span durations), with bounded
 //!   label cardinality;
-//! - [`pipeline`]: process-wide counters for the experiment pipeline —
-//!   scheduler grains (executed/stolen), measurement-cache hits and
-//!   discards, and warm-rig snapshot reuse;
+//! - [`pipeline`]: the experiment pipeline's one process-wide
+//!   [`Registry`] — scheduler grains (executed/stolen, per-worker
+//!   series), measurement-cache hits and discards, and warm-rig snapshot
+//!   reuse — with a typed read view;
 //! - [`recorder`]: the sinks — [`NullRecorder`] (the default; disabled
 //!   and free), [`JsonlRecorder`] (one JSON event per line), and
 //!   [`VecRecorder`] (in-memory, for tests) — behind the [`Telemetry`]

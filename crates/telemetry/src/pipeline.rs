@@ -2,20 +2,25 @@
 //! warm-rig accounting.
 //!
 //! The experiment pipeline (sweep scheduler, grain cache, rig pool) is
-//! called from many threads and many call sites, so these counters are
-//! a single lock-free global rather than a threaded-through `Registry`.
-//! [`PipelineStats::snapshot`] freezes them into a serializable
-//! [`PipelineSnapshot`] that rides in
-//! [`Event::PipelineCompleted`](crate::event::Event) records and renders
-//! via `mct report`.
+//! called from many threads and many call sites that share no telemetry
+//! session, so its counters live in one process-wide [`Registry`] behind
+//! [`pipeline_stats`]. Series are unlabeled `pipeline.*` totals
+//! (`pipeline.grains_executed`, `pipeline.cache_hits`, ...,
+//! `pipeline.sched_rounds`), per-worker scheduler series
+//! `pipeline.worker.{executed,stolen,busy_us,wall_us}{worker="<i>"}`, and
+//! `pipeline.workers_fallback{reason="..."}` when `MCT_WORKERS` was
+//! rejected. The experiment binaries append the registry's snapshot to
+//! their trace as an [`Event::MetricsRegistry`](crate::Event) record,
+//! which `mct report` and `mct metrics` render like any other registry.
+//! [`PipelineStats::snapshot`] is a typed read view of the same series.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use serde::{Deserialize, Serialize};
+use crate::expose::parse_series;
+use crate::registry::Registry;
 
-/// Per-worker scheduler accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// One scheduler worker's series, summed over every round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerStat {
     /// Grains this worker executed.
     pub executed: u64,
@@ -27,20 +32,8 @@ pub struct WorkerStat {
     pub wall_us: u64,
 }
 
-impl WorkerStat {
-    /// Fraction of the worker's lifetime spent executing grains.
-    #[must_use]
-    pub fn busy_fraction(&self) -> f64 {
-        if self.wall_us == 0 {
-            0.0
-        } else {
-            self.busy_us as f64 / self.wall_us as f64
-        }
-    }
-}
-
-/// Serializable freeze of the pipeline counters.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// Typed read view of the pipeline series at one instant.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PipelineSnapshot {
     /// Measurement grains executed (cache misses that ran simulation).
     pub grains_executed: u64,
@@ -64,15 +57,8 @@ pub struct PipelineSnapshot {
     pub clone_us: u64,
     /// Total heap footprint of all warm snapshots built, bytes.
     pub snapshot_bytes: u64,
-    /// Scheduler rounds (one per `run_grains` invocation with work).
-    pub sched_rounds: u64,
-    /// Per-worker stats, summed over every scheduler round.
+    /// Per-worker stats, indexed by the `worker` label.
     pub workers: Vec<WorkerStat>,
-    /// Why the worker count fell back to machine parallelism (empty when
-    /// `MCT_WORKERS` was unset or valid). Defaulted so traces written
-    /// before this field existed still parse.
-    #[serde(default)]
-    pub workers_fallback: String,
 }
 
 impl PipelineSnapshot {
@@ -90,43 +76,6 @@ impl PipelineSnapshot {
             0.0
         } else {
             self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Pour this snapshot into a metrics [`Registry`](crate::Registry)
-    /// as `pipeline.*` counters, with per-worker scheduler series
-    /// labeled `{worker="<index>"}` — the bridge that makes pipeline
-    /// accounting scrapeable through `--metrics-out` / `mct metrics`
-    /// alongside the controller's own series.
-    pub fn to_registry(&self, registry: &mut crate::Registry) {
-        for (name, value) in [
-            ("pipeline.grains_executed", self.grains_executed),
-            ("pipeline.grains_stolen", self.grains_stolen),
-            ("pipeline.cache_hits", self.cache_hits),
-            ("pipeline.stale_discarded", self.stale_discarded),
-            ("pipeline.corrupt_discarded", self.corrupt_discarded),
-            ("pipeline.rig_warmups", self.rig_warmups),
-            ("pipeline.rig_reuses", self.rig_reuses),
-            ("pipeline.rig_clones", self.rig_clones),
-            ("pipeline.warmup_us", self.warmup_us),
-            ("pipeline.clone_us", self.clone_us),
-            ("pipeline.snapshot_bytes", self.snapshot_bytes),
-            ("pipeline.sched_rounds", self.sched_rounds),
-        ] {
-            if value > 0 {
-                registry.incr(name, value);
-            }
-        }
-        for (i, w) in self.workers.iter().enumerate() {
-            let index = i.to_string();
-            let labels: [(&str, &str); 1] = [("worker", &index)];
-            registry.incr_with("pipeline.worker.executed", &labels, w.executed);
-            registry.incr_with("pipeline.worker.stolen", &labels, w.stolen);
-            registry.incr_with("pipeline.worker.busy_us", &labels, w.busy_us);
-            registry.incr_with("pipeline.worker.wall_us", &labels, w.wall_us);
-        }
-        if !self.workers_fallback.is_empty() {
-            registry.incr("pipeline.workers_fallback", 1);
         }
     }
 
@@ -149,105 +98,81 @@ impl PipelineSnapshot {
     }
 }
 
-/// The process-wide pipeline counters. All methods are thread-safe.
+/// The process-wide pipeline registry. All methods are thread-safe.
 #[derive(Debug, Default)]
 pub struct PipelineStats {
-    grains_executed: AtomicU64,
-    grains_stolen: AtomicU64,
-    cache_hits: AtomicU64,
-    stale_discarded: AtomicU64,
-    corrupt_discarded: AtomicU64,
-    rig_warmups: AtomicU64,
-    rig_reuses: AtomicU64,
-    rig_clones: AtomicU64,
-    warmup_us: AtomicU64,
-    clone_us: AtomicU64,
-    snapshot_bytes: AtomicU64,
-    sched_rounds: AtomicU64,
-    workers: Mutex<Vec<WorkerStat>>,
-    workers_fallback: Mutex<String>,
-}
-
-macro_rules! adders {
-    ($($method:ident => $field:ident),* $(,)?) => {
-        $(
-            #[doc = concat!("Add `n` to `", stringify!($field), "`.")]
-            pub fn $method(&self, n: u64) {
-                self.$field.fetch_add(n, Ordering::Relaxed);
-            }
-        )*
-    };
+    registry: Mutex<Registry>,
 }
 
 impl PipelineStats {
-    adders! {
-        add_grains_executed => grains_executed,
-        add_grains_stolen => grains_stolen,
-        add_cache_hits => cache_hits,
-        add_stale_discarded => stale_discarded,
-        add_corrupt_discarded => corrupt_discarded,
-        add_rig_warmups => rig_warmups,
-        add_rig_reuses => rig_reuses,
-        add_rig_clones => rig_clones,
-        add_warmup_us => warmup_us,
-        add_clone_us => clone_us,
-        add_snapshot_bytes => snapshot_bytes,
-    }
-
-    /// Record why the worker count fell back to machine parallelism
-    /// (e.g. a garbage `MCT_WORKERS` value). First reason wins; later
-    /// calls are ignored so repeated scheduler entry does not churn it.
-    /// Poisoned locks are recovered — stats are advisory and must never
-    /// crash the pipeline they observe.
-    pub fn set_workers_fallback(&self, reason: &str) {
-        let mut slot = lock_recovering(&self.workers_fallback);
-        if slot.is_empty() {
-            reason.clone_into(&mut slot);
+    /// Add `n` to the unlabeled counter `name`. A zero `n` is dropped, so
+    /// a counter that never moved has no series.
+    pub fn add(&self, name: &str, n: u64) {
+        if n > 0 {
+            self.registry().incr(name, n);
         }
     }
 
-    /// Record one scheduler round's per-worker stats (summed into the
-    /// worker slots by index).
-    pub fn record_round(&self, workers: &[WorkerStat]) {
-        self.sched_rounds.fetch_add(1, Ordering::Relaxed);
-        let mut slots = lock_recovering(&self.workers);
-        if slots.len() < workers.len() {
-            slots.resize(workers.len(), WorkerStat::default());
-        }
-        for (slot, w) in slots.iter_mut().zip(workers) {
-            slot.executed += w.executed;
-            slot.stolen += w.stolen;
-            slot.busy_us += w.busy_us;
-            slot.wall_us += w.wall_us;
-        }
+    /// Lock the registry, for labeled or batched writes and for reads.
+    pub fn registry(&self) -> MutexGuard<'_, Registry> {
+        lock_recovering(&self.registry)
     }
 
-    /// Freeze current values into a serializable snapshot.
+    /// Read the pipeline series into a typed snapshot; the per-worker
+    /// rows are rebuilt from the labeled `pipeline.worker.*` series.
     #[must_use]
     pub fn snapshot(&self) -> PipelineSnapshot {
-        PipelineSnapshot {
-            grains_executed: self.grains_executed.load(Ordering::Relaxed),
-            grains_stolen: self.grains_stolen.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            stale_discarded: self.stale_discarded.load(Ordering::Relaxed),
-            corrupt_discarded: self.corrupt_discarded.load(Ordering::Relaxed),
-            rig_warmups: self.rig_warmups.load(Ordering::Relaxed),
-            rig_reuses: self.rig_reuses.load(Ordering::Relaxed),
-            rig_clones: self.rig_clones.load(Ordering::Relaxed),
-            warmup_us: self.warmup_us.load(Ordering::Relaxed),
-            clone_us: self.clone_us.load(Ordering::Relaxed),
-            snapshot_bytes: self.snapshot_bytes.load(Ordering::Relaxed),
-            sched_rounds: self.sched_rounds.load(Ordering::Relaxed),
-            workers: lock_recovering(&self.workers).clone(),
-            workers_fallback: lock_recovering(&self.workers_fallback).clone(),
+        let registry = self.registry();
+        let counter = |name| registry.counter(name);
+        let mut snap = PipelineSnapshot {
+            grains_executed: counter("pipeline.grains_executed"),
+            grains_stolen: counter("pipeline.grains_stolen"),
+            cache_hits: counter("pipeline.cache_hits"),
+            stale_discarded: counter("pipeline.stale_discarded"),
+            corrupt_discarded: counter("pipeline.corrupt_discarded"),
+            rig_warmups: counter("pipeline.rig_warmups"),
+            rig_reuses: counter("pipeline.rig_reuses"),
+            rig_clones: counter("pipeline.rig_clones"),
+            warmup_us: counter("pipeline.warmup_us"),
+            clone_us: counter("pipeline.clone_us"),
+            snapshot_bytes: counter("pipeline.snapshot_bytes"),
+            workers: Vec::new(),
+        };
+        for (series, value) in registry.snapshot().counters {
+            let Some(key) = parse_series(&series) else {
+                continue;
+            };
+            let Some(field) = key.name.strip_prefix("pipeline.worker.") else {
+                continue;
+            };
+            let Some(i) = key
+                .labels
+                .iter()
+                .find(|(k, _)| k == "worker")
+                .and_then(|(_, v)| v.parse::<usize>().ok())
+            else {
+                continue;
+            };
+            if snap.workers.len() <= i {
+                snap.workers.resize(i + 1, WorkerStat::default());
+            }
+            let w = &mut snap.workers[i];
+            match field {
+                "executed" => w.executed = value,
+                "stolen" => w.stolen = value,
+                "busy_us" => w.busy_us = value,
+                "wall_us" => w.wall_us = value,
+                _ => {}
+            }
         }
+        snap
     }
 }
 
 /// Lock a stats mutex, recovering from poisoning: a panic in one
 /// scheduler worker must not take the whole process's accounting (or
 /// any later snapshot) down with it.
-fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -264,29 +189,42 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let stats = PipelineStats::default();
-        stats.add_cache_hits(3);
-        stats.add_grains_executed(2);
-        stats.add_grains_stolen(1);
-        stats.record_round(&[
-            WorkerStat {
-                executed: 2,
-                stolen: 1,
-                busy_us: 50,
-                wall_us: 100,
-            },
-            WorkerStat {
-                executed: 0,
-                stolen: 0,
-                busy_us: 0,
-                wall_us: 100,
-            },
-        ]);
+        stats.add("pipeline.cache_hits", 3);
+        stats.add("pipeline.grains_executed", 2);
+        stats.add("pipeline.grains_stolen", 1);
+        stats.add("pipeline.stale_discarded", 0);
+        {
+            let mut r = stats.registry();
+            r.incr_with("pipeline.worker.wall_us", &[("worker", "0")], 100);
+            r.incr_with("pipeline.worker.executed", &[("worker", "1")], 2);
+            r.incr_with("pipeline.worker.stolen", &[("worker", "1")], 1);
+            r.incr_with("pipeline.worker.busy_us", &[("worker", "1")], 50);
+        }
         let snap = stats.snapshot();
         assert_eq!(snap.grains_total(), 5);
         assert!((snap.cache_hit_rate() - 0.6).abs() < 1e-12);
-        assert_eq!(snap.workers.len(), 2);
-        assert!((snap.workers[0].busy_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(snap.sched_rounds, 1);
+        assert_eq!(
+            snap.workers,
+            [
+                WorkerStat {
+                    wall_us: 100,
+                    ..WorkerStat::default()
+                },
+                WorkerStat {
+                    executed: 2,
+                    stolen: 1,
+                    busy_us: 50,
+                    wall_us: 0,
+                },
+            ]
+        );
+        // A zero delta materializes no series.
+        assert!(!stats
+            .registry()
+            .snapshot()
+            .counters
+            .iter()
+            .any(|(name, _)| name == "pipeline.stale_discarded"));
     }
 
     #[test]
@@ -300,80 +238,5 @@ mod tests {
         assert!(line.contains("executed=0"));
         assert!(line.contains("hit_rate=100.0%"));
         assert!(!line.contains("us="), "no timing terms: {line}");
-    }
-
-    #[test]
-    fn workers_fallback_first_reason_wins() {
-        let stats = PipelineStats::default();
-        assert_eq!(stats.snapshot().workers_fallback, "");
-        stats.set_workers_fallback("MCT_WORKERS=0 rejected");
-        stats.set_workers_fallback("a later reason");
-        assert_eq!(stats.snapshot().workers_fallback, "MCT_WORKERS=0 rejected");
-    }
-
-    #[test]
-    fn old_snapshots_without_fallback_field_still_parse() {
-        let json = serde_json::to_string(&PipelineSnapshot::default()).expect("serialize");
-        let stripped = json.replace(",\"workers_fallback\":\"\"", "");
-        assert_ne!(json, stripped, "field must have been present");
-        let back: PipelineSnapshot = serde_json::from_str(&stripped).expect("parse old trace");
-        assert_eq!(back, PipelineSnapshot::default());
-    }
-
-    #[test]
-    fn to_registry_bridges_labeled_worker_series() {
-        let snap = PipelineSnapshot {
-            grains_executed: 5,
-            cache_hits: 3,
-            workers: vec![
-                WorkerStat {
-                    executed: 3,
-                    stolen: 1,
-                    busy_us: 80,
-                    wall_us: 100,
-                },
-                WorkerStat {
-                    executed: 2,
-                    stolen: 0,
-                    busy_us: 40,
-                    wall_us: 100,
-                },
-            ],
-            ..PipelineSnapshot::default()
-        };
-        let mut registry = crate::Registry::new();
-        snap.to_registry(&mut registry);
-        assert_eq!(registry.counter("pipeline.grains_executed"), 5);
-        assert_eq!(
-            registry.counter_with("pipeline.worker.executed", &[("worker", "0")]),
-            3
-        );
-        assert_eq!(
-            registry.counter_with("pipeline.worker.busy_us", &[("worker", "1")]),
-            40
-        );
-        // Zero-valued totals are not materialized as series.
-        assert!(!registry
-            .snapshot()
-            .counters
-            .iter()
-            .any(|(name, _)| name == "pipeline.stale_discarded"));
-    }
-
-    #[test]
-    fn round_trips_through_json() {
-        let snap = PipelineSnapshot {
-            grains_executed: 7,
-            workers: vec![WorkerStat {
-                executed: 7,
-                stolen: 2,
-                busy_us: 1,
-                wall_us: 2,
-            }],
-            ..PipelineSnapshot::default()
-        };
-        let json = serde_json::to_string(&snap).expect("serialize");
-        let back: PipelineSnapshot = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back, snap);
     }
 }

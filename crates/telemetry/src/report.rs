@@ -1,9 +1,10 @@
 //! Parsing and rendering of trace files: `mct report <trace.jsonl>`.
 //!
 //! Parses a JSONL trace back into [`Record`]s and renders what this
-//! crate owns: the pipeline scheduler summary, the metrics registry and
-//! a span footer. The controller's transitions are mct-core's to render
-//! (its decision timeline, which `mct report` prints first).
+//! crate owns: the metrics registry (the controller's counters, or the
+//! experiment pipeline's) and a span footer. The controller's
+//! transitions are mct-core's to render (its decision timeline, which
+//! `mct report` prints first).
 
 use crate::event::{Event, Record};
 use std::collections::BTreeMap;
@@ -20,9 +21,10 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Record>, String> {
 }
 
 /// Parse a JSONL trace, tolerating records whose event kind this binary
-/// does not know (a trace written by a newer `mct`). Unknown kinds are
-/// skipped and counted; lines that are not valid JSON objects at all
-/// still abort with their line number — that is corruption, not skew.
+/// does not know (a trace written by a different `mct` version). Unknown
+/// kinds are skipped and counted; lines that are not valid JSON objects
+/// at all still abort with their line number — that is corruption, not
+/// skew.
 ///
 /// Returns the recognized records plus a kind -> count map of what was
 /// skipped, which [`render_report`] surfaces in its footer.
@@ -62,7 +64,7 @@ pub fn parse_jsonl_tolerant(text: &str) -> Result<(Vec<Record>, BTreeMap<String,
     Ok((records, unknown))
 }
 
-/// Render a trace's pipeline, registry and span summaries, with a
+/// Render a trace's registry and span summaries, with a
 /// footer reporting events the parser recognized as valid but could not
 /// type (from [`parse_jsonl_tolerant`]). Controller transitions are
 /// skipped: mct-core's decision timeline renders them.
@@ -80,47 +82,6 @@ pub fn render_report_with_unknown(records: &[Record], unknown: &BTreeMap<String,
     for record in records {
         match &record.event {
             Event::Transition(_) => {}
-            Event::PipelineCompleted { snapshot } => {
-                let _ = writeln!(out, "\n--- pipeline scheduler ---");
-                let _ = writeln!(
-                    out,
-                    "  grains: {} total = {} executed ({} stolen) + {} cached ({:.1}% hit rate)",
-                    snapshot.grains_total(),
-                    snapshot.grains_executed,
-                    snapshot.grains_stolen,
-                    snapshot.cache_hits,
-                    snapshot.cache_hit_rate() * 100.0
-                );
-                if snapshot.stale_discarded + snapshot.corrupt_discarded > 0 {
-                    let _ = writeln!(
-                        out,
-                        "  cache discards: {} stale (CACHE_VERSION mismatch), {} corrupt/truncated",
-                        snapshot.stale_discarded, snapshot.corrupt_discarded
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "  warm rigs: {} warmed ({:.1} s, {:.1} MB of snapshots), {} reused, {} clones ({:.1} s)",
-                    snapshot.rig_warmups,
-                    snapshot.warmup_us as f64 / 1e6,
-                    snapshot.snapshot_bytes as f64 / 1e6,
-                    snapshot.rig_reuses,
-                    snapshot.rig_clones,
-                    snapshot.clone_us as f64 / 1e6
-                );
-                for (i, w) in snapshot.workers.iter().enumerate() {
-                    let _ = writeln!(
-                        out,
-                        "  worker {i:>2}: {:>6} grains ({:>5} stolen), busy {:>5.1}%",
-                        w.executed,
-                        w.stolen,
-                        w.busy_fraction() * 100.0
-                    );
-                }
-                if !snapshot.workers_fallback.is_empty() {
-                    let _ = writeln!(out, "  !! workers: {}", snapshot.workers_fallback);
-                }
-            }
             Event::MetricsRegistry { snapshot } => {
                 let _ = writeln!(out, "\n--- metrics registry ---");
                 for (name, value) in &snapshot.counters {
@@ -187,7 +148,7 @@ pub fn render_report_with_unknown(records: &[Record], unknown: &BTreeMap<String,
             .collect();
         let _ = writeln!(
             out,
-            "\nunrecognized events: {total} (kinds: {}) — trace written by a newer mct?",
+            "\nunrecognized events: {total} (kinds: {}) — trace written by a different mct version?",
             kinds.join(", ")
         );
     }
@@ -256,31 +217,31 @@ mod tests {
 
     #[test]
     fn pipeline_report_renders_workers_fallback() {
-        let snapshot = crate::pipeline::PipelineSnapshot {
-            workers_fallback: "MCT_WORKERS=\"0\" rejected (must be a positive integer)".to_string(),
-            ..crate::pipeline::PipelineSnapshot::default()
-        };
+        let mut registry = crate::Registry::new();
+        registry.incr("pipeline.cache_hits", 4);
+        registry.incr_with(
+            "pipeline.workers_fallback",
+            &[(
+                "reason",
+                "MCT_WORKERS=\"0\" rejected (must be a positive integer)",
+            )],
+            1,
+        );
         let records = vec![Record {
             seq: 0,
             sim_insts: 0,
             wall_us: 0,
-            event: Event::PipelineCompleted { snapshot },
-        }];
-        let report = render_report_with_unknown(&records, &BTreeMap::new());
-        assert!(
-            report.contains("!! workers: MCT_WORKERS=\"0\" rejected"),
-            "{report}"
-        );
-        // An empty reason renders nothing.
-        let quiet = vec![Record {
-            seq: 0,
-            sim_insts: 0,
-            wall_us: 0,
-            event: Event::PipelineCompleted {
-                snapshot: crate::pipeline::PipelineSnapshot::default(),
+            event: Event::MetricsRegistry {
+                snapshot: registry.snapshot(),
             },
         }];
-        assert!(!render_report_with_unknown(&quiet, &BTreeMap::new()).contains("!! workers"));
+        let report = render_report_with_unknown(&records, &BTreeMap::new());
+        assert!(report.contains("--- metrics registry ---"), "{report}");
+        assert!(report.contains("pipeline.cache_hits"), "{report}");
+        assert!(
+            report.contains(r#"pipeline.workers_fallback{reason="MCT_WORKERS=\"0\" rejected"#),
+            "{report}"
+        );
     }
 
     #[test]
@@ -289,16 +250,24 @@ mod tests {
         let known = serde_json::to_string(&records[0]).expect("serialize");
         let future =
             r#"{"seq":9,"sim_insts":1,"wall_us":2,"event":{"WarpDriveEngaged":{"factor":9}}}"#;
-        let jsonl = format!("{known}\n{future}\n{future}\n");
+        // A pipeline record written before the pipeline counters moved
+        // into the metrics registry, verbatim from an old pipeline trace.
+        let old = include_str!("../../../tests/fixtures/pipeline_trace_pre_registry.jsonl");
+        let jsonl = format!("{known}\n{future}\n{old}{future}\n");
         // Strict parsing refuses the future event.
         assert!(parse_jsonl(&jsonl).is_err());
         // Tolerant parsing keeps the known record and counts the rest.
         let (parsed, unknown) = parse_jsonl_tolerant(&jsonl).expect("tolerant parse");
         assert_eq!(parsed.len(), 1);
         assert_eq!(unknown.get("WarpDriveEngaged"), Some(&2));
+        assert_eq!(unknown.values().sum::<u64>(), 3, "{unknown:?}");
         let report = render_report_with_unknown(&parsed, &unknown);
         assert!(
-            report.contains("unrecognized events: 2 (kinds: WarpDriveEngaged x2)"),
+            report.contains("unrecognized events: 3 (kinds: "),
+            "{report}"
+        );
+        assert!(
+            report.contains("WarpDriveEngaged x2) — trace written by a different mct version?"),
             "{report}"
         );
         // Garbage is still a hard error, with its line number.

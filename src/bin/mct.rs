@@ -455,8 +455,8 @@ fn execute(command: Command) -> Result<(), String> {
 }
 
 /// Read a trace tolerantly: records whose event kind (or transition
-/// kind) this binary does not know — a trace written by a newer mct —
-/// are counted by kind instead of failing the load.
+/// kind) this binary does not know — a trace written by a different mct
+/// version — are counted by kind instead of failing the load.
 fn load_trace(path: &str) -> Result<(Vec<Record>, BTreeMap<String, u64>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     parse_jsonl_tolerant(&text).map_err(|e| format!("malformed trace {path}: {e}"))

@@ -84,9 +84,6 @@ fn render(title: &str, records: &[Record]) -> String {
                     let _ = writeln!(out, "{at} counter {name} {value}");
                 }
             }
-            Event::PipelineCompleted { .. } => {
-                let _ = writeln!(out, "{at} pipeline_completed");
-            }
         }
     }
     out
