@@ -13,10 +13,9 @@
 //! IPC, lifetime and energy, so the three objective tables come from one
 //! `r2[model][n][app]` table (350 fits).
 //!
-//! Known smoke-scale caveat: the strided smoke sweep has ~64 rows, so the
-//! n=80 and n=160 columns train on all rows but one and print `0.000`
-//! from a one-row eval set. Printing `n/a` there changes the output and
-//! is left to its own change.
+//! A cell whose eval set would fall below [`MIN_EVAL_ROWS`] is not fit
+//! and prints `n/a`: at smoke scale the strided sweep has ~64 rows, so the
+//! n=80 and n=160 columns would score on one row.
 
 use std::io::{self, Write};
 
@@ -35,6 +34,8 @@ use crate::runner::EXPERIMENT_SEED;
 use crate::scale::Scale;
 
 const SAMPLE_SIZES: [usize; 5] = [10, 20, 40, 80, 160];
+/// Fewest eval rows an R^2 is reported from.
+const MIN_EVAL_ROWS: usize = 16;
 const OBJECTIVES: [&str; 3] = ["IPC", "lifetime", "energy"];
 
 /// Fit one `kind` predictor on `n_samples` random rows of application
@@ -83,15 +84,19 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         .map(SweepDataset::pairs)
         .collect();
 
-    // r2[kind][n][app]: every objective's score from one fit per cell.
-    let r2: Vec<Vec<Vec<[f64; 3]>>> = ModelKind::all()
+    // r2[kind][n][app]: every objective's score from one fit per cell,
+    // `None` (no fit) when fewer than MIN_EVAL_ROWS rows would be scored.
+    let r2: Vec<Vec<Vec<Option<[f64; 3]>>>> = ModelKind::all()
         .into_iter()
         .map(|kind| {
             SAMPLE_SIZES
                 .iter()
                 .map(|&n| {
                     (0..apps.len())
-                        .map(|ai| r2_for(kind, &apps, ai, n, 7 + n as u64))
+                        .map(|ai| {
+                            (apps[ai].len() >= n + MIN_EVAL_ROWS)
+                                .then(|| r2_for(kind, &apps, ai, n, 7 + n as u64))
+                        })
                         .collect()
                 })
                 .collect()
@@ -112,8 +117,13 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
             let mut cells = vec![kind.label().to_string()];
             for by_app in by_n {
                 // Summed in app order from 0.0: the printed bits depend on it.
-                let sum = by_app.iter().fold(0.0, |s, r| s + r[dim]);
-                cells.push(format!("{:.3}", sum / by_app.len() as f64));
+                let sum = by_app
+                    .iter()
+                    .try_fold(0.0, |s, r| Some(s + r.as_ref()?[dim]));
+                cells.push(sum.map_or_else(
+                    || "n/a".to_string(),
+                    |sum| format!("{:.3}", sum / by_app.len() as f64),
+                ));
             }
             table.row(cells);
         }
@@ -213,6 +223,16 @@ mod tests {
             .map(|&i| pairs[i].1.to_array()[dim].min(LIFETIME_CLAMP_YEARS))
             .collect();
         coefficient_of_determination(&preds, &truth)
+    }
+
+    #[test]
+    fn quick_and_full_sweeps_score_every_sample_size() {
+        let space = ConfigSpace::without_wear_quota();
+        for scale in [Scale::Quick, Scale::Full] {
+            let rows = strided_configs(space.configs(), scale).len();
+            let largest = SAMPLE_SIZES[SAMPLE_SIZES.len() - 1];
+            assert!(rows >= largest + MIN_EVAL_ROWS, "{scale}: {rows} rows");
+        }
     }
 
     #[test]
