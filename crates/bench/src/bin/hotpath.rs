@@ -4,7 +4,8 @@
 //! Run with `cargo run --release -p mct-bench --bin hotpath [-- [--json] [out.json]]`.
 //! With `--json` the report goes to stdout only (progress lines stay on
 //! stderr) and no file is written unless a path is also given — the mode
-//! CI and scripts consume. The same binary measures pre- and
+//! CI and scripts consume. Any other flag, or a second path, is a usage
+//! error (exit 2) before anything is measured. The same binary measures pre- and
 //! post-optimization builds so perf PRs can record a like-for-like
 //! trajectory. The sweep spreads over `MCT_WORKERS` threads (default:
 //! every core).
@@ -100,6 +101,7 @@ fn predict_all_ms(kind: ModelKind, space: &ConfigSpace, iters: usize) -> f64 {
 }
 
 fn main() {
+    let args = mct_bench::snapshot_args_or_exit();
     eprintln!("measuring event loop...");
     let ev_warm = event_loop_accesses_per_sec(50_000);
     let ev = event_loop_accesses_per_sec(200_000).max(ev_warm);
@@ -114,6 +116,7 @@ fn main() {
 
     mct_bench::emit_snapshot(
         "BENCH_hotpath.json",
+        &args,
         &[
             ("event_loop_accesses_per_sec", format!("{ev:.0}")),
             ("sweep_configs", n_sweep.to_string()),

@@ -4,7 +4,8 @@
 //! snapshot binaries (`hotpath`, `fitpath`) in `src/bin/`; this library
 //! crate hosts the shared fixtures they use (synthetic sample sets,
 //! pre-built spaces) so each measures the operation, not fixture
-//! construction, and the snapshot binaries' shared JSON output step.
+//! construction, and the snapshot binaries' shared command line and JSON
+//! output step.
 
 #![warn(missing_docs)]
 
@@ -55,28 +56,82 @@ pub fn synthetic_corpus(apps: usize) -> Vec<Vec<(NvmConfig, Metrics)>> {
         .collect()
 }
 
+/// Where a snapshot binary's report goes, parsed from its command line
+/// `[--json] [out.json]`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SnapshotArgs {
+    /// `--json`: stdout only, unless a path is also given (the mode CI
+    /// and scripts consume).
+    pub json_only: bool,
+    /// The report file, when given.
+    pub out_path: Option<String>,
+}
+
+/// Why a snapshot binary's command line was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapshotUsageError {
+    /// A dash-led argument other than `--json` (a typo such as `--jsn`,
+    /// or `--help`), which must not become a file name.
+    UnknownFlag(String),
+    /// A second output path.
+    ExtraPath(String),
+}
+
+impl std::fmt::Display for SnapshotUsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotUsageError::UnknownFlag(a) => write!(f, "unknown flag {a}"),
+            SnapshotUsageError::ExtraPath(a) => write!(f, "more than one output path ({a})"),
+        }
+    }
+}
+
+/// Parse a snapshot binary's arguments (without the program name).
+///
+/// # Errors
+/// Any dash-led argument but `--json`, and any path after the first.
+pub fn parse_snapshot_args<S: AsRef<str>>(args: &[S]) -> Result<SnapshotArgs, SnapshotUsageError> {
+    let mut parsed = SnapshotArgs::default();
+    for arg in args.iter().map(AsRef::as_ref) {
+        if arg == "--json" {
+            parsed.json_only = true;
+        } else if arg.starts_with('-') {
+            return Err(SnapshotUsageError::UnknownFlag(arg.to_string()));
+        } else if parsed.out_path.is_some() {
+            return Err(SnapshotUsageError::ExtraPath(arg.to_string()));
+        } else {
+            parsed.out_path = Some(arg.to_string());
+        }
+    }
+    Ok(parsed)
+}
+
+/// The process's snapshot arguments; on a usage error, prints it with a
+/// usage line to stderr and exits with code 2. Call it first in `main`,
+/// before measuring anything.
+#[must_use]
+pub fn snapshot_args_or_exit() -> SnapshotArgs {
+    let mut argv = std::env::args();
+    let bin = argv.next().unwrap_or_default();
+    let args: Vec<String> = argv.collect();
+    parse_snapshot_args(&args).unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}\nusage: {bin} [--json] [out.json]");
+        std::process::exit(2)
+    })
+}
+
 /// Report a snapshot binary's measurements: `fields` are `(key, value)`
 /// pairs with the value already formatted as a JSON number, written in
 /// order after a `machine` block (nproc, OS, arch) that keeps numbers
 /// from being compared across different boxes by accident.
 ///
-/// The JSON always goes to stdout. Command line `[--json] [out.json]`:
-/// a path writes the report there; with no path it is written to
-/// `default_path` unless `--json` asks for stdout only (the mode CI and
-/// scripts consume).
+/// The JSON always goes to stdout. It is also written to
+/// `args.out_path`, or with no path to `default_path` unless
+/// `args.json_only`.
 ///
 /// # Panics
 /// Panics if the report file cannot be written.
-pub fn emit_snapshot(default_path: &str, fields: &[(&str, String)]) {
-    let mut json_only = false;
-    let mut out_path: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if arg == "--json" {
-            json_only = true;
-        } else {
-            out_path = Some(arg);
-        }
-    }
+pub fn emit_snapshot(default_path: &str, args: &SnapshotArgs, fields: &[(&str, String)]) {
     let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut json = format!(
         "{{\n  \"machine\": {{\n    \"nproc\": {nproc},\n    \"os\": \"{}\",\n    \
@@ -89,12 +144,12 @@ pub fn emit_snapshot(default_path: &str, fields: &[(&str, String)]) {
     }
     json.push_str("\n}\n");
     print!("{json}");
-    let path = match out_path {
-        Some(path) => path,
-        None if !json_only => default_path.to_string(),
+    let path = match &args.out_path {
+        Some(path) => path.as_str(),
+        None if !args.json_only => default_path,
         None => return,
     };
-    std::fs::write(&path, &json).expect("write bench json");
+    std::fs::write(path, &json).expect("write bench json");
     eprintln!("wrote {path}");
 }
 
@@ -108,5 +163,33 @@ mod tests {
         assert_eq!(s.len(), 20);
         assert!(s.iter().all(|(_, m)| m.ipc > 0.0 && m.lifetime_years > 0.0));
         assert_eq!(synthetic_corpus(2).len(), 2);
+    }
+
+    #[test]
+    fn snapshot_argv_table() {
+        use SnapshotUsageError::*;
+        let args = |json_only: bool, out_path: Option<&str>| {
+            Ok(SnapshotArgs {
+                json_only,
+                out_path: out_path.map(str::to_string),
+            })
+        };
+        let rows: Vec<(&str, Result<SnapshotArgs, SnapshotUsageError>)> = vec![
+            ("", args(false, None)),
+            ("--json", args(true, None)),
+            ("out.json", args(false, Some("out.json"))),
+            ("--json out.json", args(true, Some("out.json"))),
+            ("out.json --json", args(true, Some("out.json"))),
+            ("--jsn", Err(UnknownFlag("--jsn".into()))),
+            ("--help", Err(UnknownFlag("--help".into()))),
+            ("-h", Err(UnknownFlag("-h".into()))),
+            ("out.json --jsn", Err(UnknownFlag("--jsn".into()))),
+            ("a.json b.json", Err(ExtraPath("b.json".into()))),
+            ("--json a.json b.json", Err(ExtraPath("b.json".into()))),
+        ];
+        for (line, want) in rows {
+            let argv: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(parse_snapshot_args(&argv), want, "argv {line:?}");
+        }
     }
 }

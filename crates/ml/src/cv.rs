@@ -1,10 +1,8 @@
-//! Model selection: k-fold cross-validation and the lasso
-//! regularization path.
+//! Deterministic k-fold cross-validation.
 //!
-//! The paper tunes its models offline ("we first compare various machine
-//! learning models based on their prediction accuracy, computation
-//! overhead, convergence rate, etc., and choose the optimal ones"); these
-//! utilities make that comparison reproducible inside the library.
+//! The controller's traced `FitDiagnosed` record reports the IPC
+//! predictor's out-of-fold R² through [`cross_val_r2`]. Nothing tunes a
+//! penalty here: like the paper, every lasso fit uses one fixed lambda.
 
 use crate::dataset::Dataset;
 use crate::metrics::coefficient_of_determination;
@@ -60,54 +58,6 @@ pub fn cross_val_r2<M: Regressor, F: Fn() -> M>(data: &Dataset, k: usize, make_m
     total / folds.len() as f64
 }
 
-/// One point on a lasso regularization path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LassoPathPoint {
-    /// Penalty strength.
-    pub lambda: f64,
-    /// Nonzero coefficients at this penalty.
-    pub nonzero: usize,
-    /// Mean k-fold out-of-fold R².
-    pub cv_r2: f64,
-}
-
-/// Compute the lasso path over a log-spaced lambda grid, scoring each
-/// point with k-fold CV. Returns points in descending-lambda order.
-///
-/// Internally this builds one [`crate::LassoFoldCache`] (per-fold
-/// standardized designs, Gram matrices, column norms) and runs the
-/// warm-started path engine over it — each solve is seeded from the
-/// previous lambda's coefficients, which reaches the same bitwise
-/// fixpoint a cold start would (see [`crate::lasso_path_fits`]) in far
-/// fewer coordinate passes.
-///
-/// # Panics
-/// Panics on degenerate grids (`lo >= hi`, nonpositive bounds) or
-/// datasets with fewer than 2 rows.
-#[must_use]
-pub fn lasso_path(data: &Dataset, lo: f64, hi: f64, steps: usize, k: usize) -> Vec<LassoPathPoint> {
-    let cache = crate::path::LassoFoldCache::new(data, k);
-    crate::path::lasso_path_fits(&cache, lo, hi, steps, true)
-        .into_iter()
-        .map(|fit| LassoPathPoint {
-            lambda: fit.lambda,
-            nonzero: fit.nonzero,
-            cv_r2: fit.cv_r2,
-        })
-        .collect()
-}
-
-/// The path point with the best CV score.
-///
-/// # Panics
-/// Panics on an empty path.
-#[must_use]
-pub fn best_lambda(path: &[LassoPathPoint]) -> &LassoPathPoint {
-    path.iter()
-        .max_by(|a, b| a.cv_r2.total_cmp(&b.cv_r2))
-        .expect("nonempty path") // mct-tidy: allow(P003) -- documented `# Panics` contract
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,27 +93,6 @@ mod tests {
         let data = sparse_data();
         let r2 = cross_val_r2(&data, 5, || RidgeRegression::new(0.001));
         assert!(r2 > 0.95, "r2={r2}");
-    }
-
-    #[test]
-    fn path_is_monotone_in_sparsity() {
-        let data = sparse_data();
-        let path = lasso_path(&data, 0.001, 100.0, 8, 4);
-        assert_eq!(path.len(), 8);
-        // Descending lambda: nonzero count must be non-decreasing.
-        for w in path.windows(2) {
-            assert!(w[0].lambda > w[1].lambda);
-            assert!(w[0].nonzero <= w[1].nonzero);
-        }
-    }
-
-    #[test]
-    fn best_lambda_prefers_fit_over_extreme_penalty() {
-        let data = sparse_data();
-        let path = lasso_path(&data, 0.001, 1e4, 10, 4);
-        let best = best_lambda(&path);
-        assert!(best.cv_r2 > 0.9);
-        assert!(best.lambda < 1e3, "huge penalties kill the fit");
     }
 
     #[test]

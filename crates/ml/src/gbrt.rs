@@ -144,11 +144,12 @@ impl Regressor for GradientBoosting {
                 *s = forest.eval(rows.row(r));
             }
         } else {
-            // Some stage is too deep for the dense layout: tree-major
-            // accumulation, each stage walking 16 rows in lane parallel
-            // (`RegressionTree::accumulate_batch`).
-            for tree in &self.stages {
-                tree.accumulate_batch(rows, &mut sums);
+            // Some stage is too deep for the dense layout (no
+            // default-shaped ensemble is): the scalar reference walk.
+            for (s, row) in sums.iter_mut().zip(rows.row_iter()) {
+                for tree in &self.stages {
+                    *s += tree.eval_row(row);
+                }
             }
         }
         sums.into_iter()
@@ -281,5 +282,27 @@ mod tests {
         for (i, b) in batch.iter().enumerate() {
             assert_eq!(gb.predict(&d.rows()[i]).to_bits(), b.to_bits(), "row {i}");
         }
+    }
+
+    #[test]
+    fn geometric_targets_grow_stages_too_deep_to_densify() {
+        // Geometric targets: every split peels off the largest one, so
+        // trees grow chains past the dense layout's depth limit (the
+        // shape `tests/simd_differential.rs` feeds through the fallback).
+        let rows: Vec<Vec<f64>> = (0..24)
+            .map(|i| vec![i as f64, ((i * 7) % 13) as f64, ((i * 3) % 5) as f64])
+            .collect();
+        let y: Vec<f64> = (0..24).map(|i| 4f64.powi(i)).collect();
+        let d = Dataset::from_rows(rows, y);
+        let mut gb = GradientBoosting::new(GradientBoostingParams {
+            stages: 4,
+            tree: TreeParams {
+                max_depth: crate::simd::DENSE_MAX_DEPTH + 4,
+                min_leaf: 1,
+            },
+            ..GradientBoostingParams::default()
+        });
+        gb.fit(&d);
+        assert!(gb.stages.iter().any(|t| t.densify().is_none()));
     }
 }

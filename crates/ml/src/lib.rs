@@ -40,12 +40,11 @@ mod metrics;
 mod model;
 mod offline;
 pub mod par;
-mod path;
 mod scale;
 pub mod simd;
 mod tree;
 
-pub use cv::{best_lambda, cross_val_r2, kfold_indices, lasso_path, LassoPathPoint};
+pub use cv::{cross_val_r2, kfold_indices};
 pub use dataset::Dataset;
 pub use features::{quadratic_expand, quadratic_feature_names, QuadraticExpander};
 pub use gbrt::{GradientBoosting, GradientBoostingParams};
@@ -56,6 +55,5 @@ pub use linear::RidgeRegression;
 pub use metrics::{coefficient_of_determination, mean_absolute_error, root_mean_squared_error};
 pub use model::{Regressor, SavedRegressor};
 pub use offline::OfflineMeanPredictor;
-pub use path::{lasso_path_fits, LassoFoldCache, LassoPathFit};
 pub use scale::StandardScaler;
 pub use tree::{RegressionTree, SplitWorkspace, TreeParams};

@@ -148,38 +148,17 @@ impl Matrix {
         self.rows - self.rows % crate::simd::LANES
     }
 
-    /// Iterate over full `W`-row groups as lane arrays for the
-    /// width-generic tree kernels in [`crate::simd`] — the wide sibling
-    /// of [`Matrix::lane_blocks`], equally zero-copy. Rows past the last
-    /// full group start at [`Matrix::group_tail`].
-    pub fn row_groups<const W: usize>(&self) -> impl Iterator<Item = [&[f64]; W]> {
-        let cols = self.cols;
-        self.data.chunks_exact(cols * W).map(move |chunk| {
-            // Split manually rather than via array::from_fn: this inlines
-            // to W pointer adds, with no closure call in the hot loop.
-            let mut out: [&[f64]; W] = [&[]; W];
-            let mut rest = chunk;
-            for slot in &mut out {
-                let (head, tail) = rest.split_at(cols);
-                *slot = head;
-                rest = tail;
-            }
-            out
-        })
-    }
-
     /// Iterate over full `W`-row groups as single contiguous slices of
-    /// `W * cols` values (row-major, stride = column count) — the flat
-    /// sibling of [`Matrix::row_groups`] for kernels that index lanes by
-    /// offset instead of through per-row slices. Rows past the last full
-    /// group start at [`Matrix::group_tail`].
+    /// `W * cols` values (row-major, stride = column count), zero-copy
+    /// like [`Matrix::lane_blocks`] — the feed of the gradient-boosting
+    /// forest walk in [`crate::simd`]. Rows past the last full group
+    /// start at [`Matrix::group_tail`].
     pub fn row_chunks<const W: usize>(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols * W)
     }
 
-    /// Index of the first row not covered by [`Matrix::row_groups`] /
-    /// [`Matrix::row_chunks`] with the same `W` — the start of the
-    /// `rows % W` scalar tail.
+    /// Index of the first row not covered by [`Matrix::row_chunks`] with
+    /// the same `W` — the start of the `rows % W` scalar tail.
     #[must_use]
     pub fn group_tail<const W: usize>(&self) -> usize {
         self.rows - self.rows % W

@@ -1,34 +1,32 @@
-//! Lane-parallel (4-wide) f64 kernels over row blocks.
+//! Lane-parallel f64 kernels for batch prediction.
 //!
 //! # The rows-not-reductions rule
 //!
-//! Every kernel here vectorizes **across rows** (four independent
-//! predictions advancing in lock step), never across a reduction
-//! dimension. Each lane owns one row and performs, operation for
-//! operation, the exact arithmetic sequence of the scalar reference
-//! path — same feature order, same tree-node order, same rounding at
-//! every step — so lane results are *bit-identical* to the scalar ones
-//! by construction, not by tolerance. What the lanes buy is
-//! instruction-level parallelism: four independent dependency chains for
-//! the compiler to interleave (and, where profitable, autovectorize into
-//! SIMD registers) instead of one serial chain per row.
+//! Every kernel here vectorizes **across rows** (independent predictions
+//! advancing in lock step), never across a reduction dimension. Each
+//! lane owns one row and performs, operation for operation, the exact
+//! arithmetic sequence of the scalar reference path — same feature
+//! order, same tree-node order, same rounding at every step — so lane
+//! results are *bit-identical* to the scalar ones by construction, not
+//! by tolerance. What the lanes buy is instruction-level parallelism:
+//! independent dependency chains for the compiler to interleave (and,
+//! where profitable, autovectorize into SIMD registers) instead of one
+//! serial chain per row.
 //!
-//! The tree walks additionally rely on *absorbing leaves*: the flat node
-//! tables store every leaf with `left == right == self`, so a lane that
-//! reaches its leaf early simply spins in place while the others catch
-//! up. That turns the divergent walk into a fixed-depth lock-step loop
-//! with no per-lane done flags — each iteration is four independent
-//! gather/compare/select steps, and after `depth` iterations every lane
-//! sits on its final leaf. Spinning is free for bit-identity: the cursor
-//! no longer moves, and the leaf value is read exactly once at the end.
+//! Two kernels live here, hand-rolled over plain lane arrays on stable
+//! Rust — no intrinsics, no new dependencies:
 //!
-//! The kernels are hand-rolled over plain lane arrays on stable Rust —
-//! no intrinsics, no new dependencies. The dot-product kernel is 4-wide
-//! (fed by [`Matrix::lane_blocks`](crate::Matrix::lane_blocks)); the
-//! tree walks are width-generic and run 16-wide in the
-//! gradient-boosting inner loop (fed by
-//! [`Matrix::row_groups`](crate::Matrix::row_groups)). Callers handle
-//! the leftover `rows % W` tail through the scalar path.
+//! - [`lasso_fold4`], the 4-wide sparse standardized dot product of the
+//!   lasso batch path (fed by
+//!   [`Matrix::lane_blocks`](crate::Matrix::lane_blocks));
+//! - `DenseForest`, the gradient-boosting batch walk: every stage
+//!   re-laid out as a dense complete tree of one common depth, walked
+//!   eight rows at a time (fed by
+//!   [`Matrix::row_chunks`](crate::Matrix::row_chunks)). An ensemble
+//!   with a stage deeper than [`DENSE_MAX_DEPTH`] takes the scalar
+//!   flat-table walk instead.
+//!
+//! Callers handle the leftover `rows % W` tail one row at a time.
 
 // The tree-walk step is `2*i + usize::from(!(x <= t))`: the scalar
 // reference path is `if x <= t { left } else { right }`, whose else
@@ -73,96 +71,9 @@ pub fn lasso_fold4(
     z
 }
 
-/// Walk an absorbing-leaf flat node table for `W` rows in fixed-depth
-/// lock step, returning each lane's final node index.
-///
-/// Each level is a single gather/compare/select per lane with no
-/// leaf-sentinel test: leaves store feature 0 and self-loop
-/// (`left == right == self`), so a finished lane's compare outcome is
-/// discarded and its cursor stays put. The `W` cursors form `W`
-/// independent dependency chains; each chained load/compare/select step
-/// has double-digit-cycle latency, so wide interleave (16 lanes in the
-/// gradient-boosting inner loop) is what turns the walk from
-/// latency-bound into throughput-bound.
-#[inline]
-fn tree_walk<const W: usize>(
-    rows: &[&[f64]; W],
-    feature: &[u32],
-    threshold: &[f64],
-    left: &[u32],
-    right: &[u32],
-    depth: usize,
-) -> [usize; W] {
-    let mut i = [0usize; W];
-    for _ in 0..depth {
-        for k in 0..W {
-            let f = feature[i[k]] as usize;
-            i[k] = if rows[k][f] <= threshold[i[k]] {
-                left[i[k]] as usize
-            } else {
-                right[i[k]] as usize
-            };
-        }
-    }
-    i
-}
-
-/// Walk a flat tree node table for `W` rows at once, adding each leaf
-/// value into the matching `sums` entry (the gradient-boosting inner
-/// loop).
-///
-/// `depth` must be an upper bound on the root-to-leaf path length (the
-/// tree's `max_depth` growth limit works); the table must use absorbing
-/// leaves (`left == right == self`, see the module docs). Per lane the
-/// visited node route and the single `+=` are exactly the scalar walk's.
-///
-/// # Panics
-/// Panics if the node table is malformed (out-of-bounds child index) or
-/// a routed feature is out of bounds for a row.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn tree_accumulate<const W: usize>(
-    rows: &[&[f64]; W],
-    feature: &[u32],
-    threshold: &[f64],
-    left: &[u32],
-    right: &[u32],
-    value: &[f64],
-    depth: usize,
-    sums: &mut [f64; W],
-) {
-    let i = tree_walk(rows, feature, threshold, left, right, depth);
-    for k in 0..W {
-        sums[k] += value[i[k]];
-    }
-}
-
-/// [`tree_accumulate`] variant returning the leaf values directly
-/// (single-tree `predict_batch`): the leaf value is *assigned*, not
-/// accumulated, so a `-0.0` leaf survives bit-exactly.
-#[inline]
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn tree_eval<const W: usize>(
-    rows: &[&[f64]; W],
-    feature: &[u32],
-    threshold: &[f64],
-    left: &[u32],
-    right: &[u32],
-    value: &[f64],
-    depth: usize,
-) -> [f64; W] {
-    let i = tree_walk(rows, feature, threshold, left, right, depth);
-    let mut out = [0.0f64; W];
-    for k in 0..W {
-        out[k] = value[i[k]];
-    }
-    out
-}
-
 /// Deepest tree the dense complete-tree layout will materialize
-/// (`2^depth` leaf slots; 12 → 32 KiB of values per tree). Deeper trees
-/// fall back to the pointer-chasing walk.
+/// (`2^depth` leaf slots; 12 → 32 KiB of values per tree). An ensemble
+/// with any deeper stage falls back to the scalar flat-table walk.
 pub const DENSE_MAX_DEPTH: usize = 12;
 
 /// A tree re-laid out as a *dense complete binary tree* in heap order:
@@ -179,13 +90,11 @@ pub const DENSE_MAX_DEPTH: usize = 12;
 /// hold identical copies. The route a row takes through real interior
 /// nodes applies exactly the scalar walk's compares in the same order,
 /// so evaluation is bit-identical to the flat-table walk.
+///
+/// Only [`DenseForest::new`] consumes these; the forest does the walking.
 #[derive(Debug, Clone)]
-pub struct DenseTree {
+pub(crate) struct DenseTree {
     depth: usize,
-    /// Largest feature index stored anywhere in the table. The walks
-    /// check once per call that rows are longer than this, which lets
-    /// every per-step row load skip its bounds check.
-    max_feature: u32,
     /// `1 << depth` entries, heap-indexed (slot 0 unused).
     feature: Vec<u32>,
     /// `1 << depth` entries, heap-indexed (slot 0 unused).
@@ -195,11 +104,11 @@ pub struct DenseTree {
 }
 
 impl DenseTree {
-    /// Re-lay a flat self-loop-leaf node table (see
-    /// [`tree_accumulate`]) densely. Returns `None` when the tree is
+    /// Re-lay a flat node table whose leaves are self-loops
+    /// (`left == right == self`) densely. Returns `None` when the tree is
     /// deeper than [`DENSE_MAX_DEPTH`] — the table would be exponential.
     #[must_use]
-    pub fn from_flat(
+    pub(crate) fn from_flat(
         feature: &[u32],
         threshold: &[f64],
         left: &[u32],
@@ -221,15 +130,11 @@ impl DenseTree {
         let slots = 1usize << depth;
         let mut dense = DenseTree {
             depth,
-            max_feature: 0,
             feature: vec![0; slots],
             threshold: vec![0.0; slots],
             value: vec![0.0; slots],
         };
         dense.fill(feature, threshold, left, right, value, 0, 1, depth);
-        // Padding slots hold feature 0, so the max over the whole table
-        // is the max over the real interior nodes.
-        dense.max_feature = dense.feature.iter().copied().max().unwrap_or(0);
         Some(dense)
     }
 
@@ -279,113 +184,15 @@ impl DenseTree {
             below,
         );
     }
-
-    /// The three table slices re-sliced to one common length, so the
-    /// compiler can prove every `i & mask` access of any of them is in
-    /// bounds (the masks hit all three tables; with separate `Vec` lens
-    /// only the first would get its bounds check elided).
-    #[inline]
-    fn tables(&self) -> (&[u32], &[f64], &[f64], usize) {
-        let n = self.feature.len();
-        (
-            &self.feature[..n],
-            &self.threshold[..n],
-            &self.value[..n],
-            n - 1,
-        )
-    }
-
-    /// Check once that `row` covers every feature index the table can
-    /// produce, so the per-step row loads can go unchecked.
-    #[inline]
-    fn check_row_len(&self, len: usize) {
-        assert!(
-            self.depth == 0 || (self.max_feature as usize) < len,
-            "row shorter than tree features"
-        );
-    }
-
-    /// Evaluate one row: `depth` feature-compare steps, then one leaf
-    /// load. The `& (len - 1)` masks are no-ops (the cursor is always in
-    /// range) that let the compiler drop the table bounds checks.
-    #[inline]
-    #[must_use]
-    pub fn eval(&self, row: &[f64]) -> f64 {
-        let (feature, threshold, value, mask) = self.tables();
-        self.check_row_len(row.len());
-        let mut i = 1usize;
-        for _ in 0..self.depth {
-            let f = feature[i & mask] as usize;
-            // SAFETY: every stored feature index is <= max_feature,
-            // which `check_row_len` verified is < row.len().
-            let x = unsafe { *row.get_unchecked(f) };
-            i = 2 * i + usize::from(!(x <= threshold[i & mask]));
-        }
-        value[i & mask]
-    }
-
-    /// Add this tree's prediction for each of the eight rows stored
-    /// contiguously in `block` (`8 * cols` values, row-major) into
-    /// `sums` — the same steps as [`DenseTree::eval`] per lane, eight
-    /// independent cursor chains deep. Eight explicit scalar cursors
-    /// (not an indexed array) keep every chain in registers and fully
-    /// unrolled; that width hides the ~dozen-cycle feature-load →
-    /// row-load → compare latency of a single chain. Taking one flat
-    /// block instead of `[&[f64]; 8]` spares the caller materializing
-    /// eight fat slice pointers per group and the kernel re-checking
-    /// eight lengths.
-    ///
-    /// # Panics
-    /// Panics when `block` is not exactly eight rows of `cols`, or when
-    /// `cols` does not cover the tree's feature indices.
-    #[inline]
-    pub fn accumulate8(&self, block: &[f64], cols: usize, sums: &mut [f64; 2 * LANES]) {
-        assert_eq!(block.len(), 2 * LANES * cols, "block must hold 8 rows");
-        self.check_row_len(cols);
-        let (feature, threshold, value, mask) = self.tables();
-        // Split into per-lane row slices so each step's row load is a
-        // plain (pointer, index) access — folding the lane offset into
-        // the index instead puts an extra add on the critical path.
-        let (r0, rest) = block.split_at(cols);
-        let (r1, rest) = rest.split_at(cols);
-        let (r2, rest) = rest.split_at(cols);
-        let (r3, rest) = rest.split_at(cols);
-        let (r4, rest) = rest.split_at(cols);
-        let (r5, rest) = rest.split_at(cols);
-        let (r6, r7) = rest.split_at(cols);
-        macro_rules! step {
-            ($r:ident, $i:ident) => {
-                // SAFETY: every stored feature index is <= max_feature,
-                // which `check_row_len` verified is < cols, the length
-                // of each lane slice.
-                let x = unsafe { *$r.get_unchecked(feature[$i & mask] as usize) };
-                $i = 2 * $i + usize::from(!(x <= threshold[$i & mask]));
-            };
-        }
-        let (mut i0, mut i1, mut i2, mut i3) = (1usize, 1usize, 1usize, 1usize);
-        let (mut i4, mut i5, mut i6, mut i7) = (1usize, 1usize, 1usize, 1usize);
-        for _ in 0..self.depth {
-            step!(r0, i0);
-            step!(r1, i1);
-            step!(r2, i2);
-            step!(r3, i3);
-            step!(r4, i4);
-            step!(r5, i5);
-            step!(r6, i6);
-            step!(r7, i7);
-        }
-        for (s, i) in sums.iter_mut().zip([i0, i1, i2, i3, i4, i5, i6, i7]) {
-            *s += value[i & mask];
-        }
-    }
 }
 
 /// A whole boosted ensemble's trees packed into one arena of dense
 /// complete trees, every stage padded to the *same* depth (the max over
-/// stages), walked tree-by-tree *inside* one call per row group.
+/// stages), walked tree-by-tree *inside* one call per row group. This is
+/// the gradient-boosting batch kernel.
 ///
-/// Compared to calling [`DenseTree::accumulate8`] once per stage this
-/// wins three ways: the eight row accumulators stay in registers across
+/// Compared to walking one stage at a time over every row this wins
+/// three ways: the eight row accumulators stay in registers across
 /// every stage instead of round-tripping through memory per tree; group
 /// setup (lane splits, bounds facts) is paid once per group rather than
 /// once per tree; and per-tree setup shrinks to three `chunks_exact`
@@ -398,7 +205,7 @@ impl DenseTree {
 /// slot `j` at depth `D` holds the depth-`d` leaf `j >> (D - d)`'s exact
 /// f64 bits, so wherever the extra steps land the value is the same.
 #[derive(Debug, Clone)]
-pub struct DenseForest {
+pub(crate) struct DenseForest {
     /// Uniform padded depth of every tree.
     depth: usize,
     /// Largest feature index any step can read, or `None` when
@@ -416,7 +223,7 @@ pub struct DenseForest {
 impl DenseForest {
     /// Pack the given trees (stage order preserved) into one arena.
     #[must_use]
-    pub fn new(trees: &[DenseTree]) -> DenseForest {
+    pub(crate) fn new(trees: &[DenseTree]) -> DenseForest {
         let depth = trees.iter().map(|t| t.depth).max().unwrap_or(0);
         let slots = 1usize << depth;
         let mut forest = DenseForest {
@@ -469,13 +276,13 @@ impl DenseForest {
     }
 
     /// Sum of every tree's prediction for one row, in stage order
-    /// starting from `0.0` — bit-identical to accumulating
-    /// [`DenseTree::eval`] results one stage at a time.
+    /// starting from `0.0` — bit-identical to summing the scalar
+    /// flat-table walk's leaf values one stage at a time.
     ///
     /// # Panics
     /// Panics when `row` does not cover the forest's feature indices.
     #[must_use]
-    pub fn eval(&self, row: &[f64]) -> f64 {
+    pub(crate) fn eval(&self, row: &[f64]) -> f64 {
         self.check_row_len(row.len());
         let mask = (1usize << self.depth) - 1;
         let mut sum = 0.0;
@@ -500,14 +307,19 @@ impl DenseForest {
 
     /// Add every tree's prediction for each of the eight rows stored
     /// contiguously in `block` (`8 * cols` values, row-major) into
-    /// `sums`, stages in order — the forest-wide analogue of
-    /// [`DenseTree::accumulate8`], bit-identical to it per row.
+    /// `sums`, stages in order — the same steps as [`DenseForest::eval`]
+    /// per lane, eight independent cursor chains deep. Eight explicit
+    /// scalar cursors (not an indexed array) keep every chain in
+    /// registers and fully unrolled; that width hides the ~dozen-cycle
+    /// feature-load → row-load → compare latency of a single chain.
+    /// Taking one flat block instead of `[&[f64]; 8]` spares the caller
+    /// materializing eight fat slice pointers per group.
     ///
     /// # Panics
     /// Panics when `block` is not exactly eight rows of `cols`, or when
     /// `cols` does not cover the forest's feature indices.
     #[inline]
-    pub fn accumulate8(&self, block: &[f64], cols: usize, sums: &mut [f64; 2 * LANES]) {
+    pub(crate) fn accumulate8(&self, block: &[f64], cols: usize, sums: &mut [f64; 2 * LANES]) {
         assert_eq!(block.len(), 2 * LANES * cols, "block must hold 8 rows");
         self.check_row_len(cols);
         let (r0, rest) = block.split_at(cols);
@@ -589,7 +401,7 @@ mod tests {
         }
     }
 
-    /// A tiny hand-built absorbing-leaf tree (depth bound 2):
+    /// A tiny hand-built absorbing-leaf tree (depth 2):
     ///   node 0: x0 <= 1.5 ? node 1 : node 2
     ///   node 1: leaf 10.0 (self-loop, feature 0)
     ///   node 2: x1 <= 0.0 ? node 3 : node 4
@@ -605,15 +417,25 @@ mod tests {
         )
     }
 
-    /// Early-exit scalar reference: a leaf is a self-loop.
-    fn walk_scalar(
-        row: &[f64],
-        feature: &[u32],
-        threshold: &[f64],
-        left: &[u32],
-        right: &[u32],
-        value: &[f64],
-    ) -> f64 {
+    fn toy_dense() -> DenseTree {
+        let (f, t, l, r, v) = toy_tree();
+        DenseTree::from_flat(&f, &t, &l, &r, &v).expect("depth 2 densifies")
+    }
+
+    /// Four rows routed to different leaves at different depths.
+    fn toy_rows() -> [Vec<f64>; 4] {
+        [
+            vec![0.0, 0.0],  // -> leaf 10.0 (depth 1)
+            vec![2.0, -1.0], // -> leaf -3.0 (depth 2)
+            vec![2.0, 1.0],  // -> leaf 5.0  (depth 2)
+            vec![1.5, 9.0],  // boundary: x0 <= 1.5 -> leaf 10.0
+        ]
+    }
+
+    /// Early-exit scalar reference over the toy tree: a leaf is a
+    /// self-loop.
+    fn walk_scalar(row: &[f64]) -> f64 {
+        let (feature, threshold, left, right, value) = toy_tree();
         let mut i = 0usize;
         loop {
             if left[i] as usize == i {
@@ -628,83 +450,14 @@ mod tests {
     }
 
     #[test]
-    fn tree_eval4_matches_scalar_walk_with_divergent_lanes() {
-        let (f, t, l, r, v) = toy_tree();
-        // Four rows routed to different leaves at different depths; the
-        // depth-1 lane spins on its absorbing leaf for the extra step.
-        let rows = [
-            vec![0.0, 0.0],  // -> leaf 10.0 (depth 1)
-            vec![2.0, -1.0], // -> leaf -3.0 (depth 2)
-            vec![2.0, 1.0],  // -> leaf 5.0  (depth 2)
-            vec![1.5, 9.0],  // boundary: x0 <= 1.5 -> leaf 10.0
-        ];
-        let blocks: [&[f64]; 4] = [&rows[0], &rows[1], &rows[2], &rows[3]];
-        for depth in [2usize, 3, 7] {
-            // Any depth >= the true bound must give identical results.
-            let got = tree_eval(&blocks, &f, &t, &l, &r, &v, depth);
-            for k in 0..4 {
-                let want = walk_scalar(&rows[k], &f, &t, &l, &r, &v);
-                assert_eq!(want.to_bits(), got[k].to_bits(), "lane {k} depth {depth}");
-            }
-        }
-    }
-
-    #[test]
-    fn tree_accumulate4_adds_exactly_one_leaf_per_lane() {
-        let (f, t, l, r, v) = toy_tree();
-        let rows = [
-            vec![0.0, 0.0],
-            vec![2.0, -1.0],
-            vec![2.0, 1.0],
-            vec![3.0, 0.0],
-        ];
-        let blocks: [&[f64]; 4] = [&rows[0], &rows[1], &rows[2], &rows[3]];
-        let mut sums = [100.0f64, 200.0, 300.0, 400.0];
-        tree_accumulate(&blocks, &f, &t, &l, &r, &v, 2, &mut sums);
-        for k in 0..4 {
-            let want = (100.0 * (k + 1) as f64) + walk_scalar(&rows[k], &f, &t, &l, &r, &v);
-            assert_eq!(want.to_bits(), sums[k].to_bits(), "lane {k}");
-        }
-    }
-
-    #[test]
-    fn single_leaf_tree_walks_zero_or_more_steps() {
-        // A depth-0 tree is one absorbing leaf; any walk depth must stay
-        // on it, and a -0.0 leaf must survive eval bit-exactly (the
-        // reason tree_eval4 assigns rather than accumulates from +0.0).
-        let feature = vec![0u32];
-        let threshold = vec![0.0];
-        let (left, right) = (vec![0u32], vec![0u32]);
-        let value = vec![-0.0f64];
-        let row = [7.0f64];
-        let rows: [&[f64]; 4] = [&row, &row, &row, &row];
-        for depth in [0usize, 1, 5] {
-            let out = tree_eval(&rows, &feature, &threshold, &left, &right, &value, depth);
-            assert_eq!(out[0].to_bits(), (-0.0f64).to_bits(), "depth {depth}");
-        }
-    }
-
-    #[test]
     fn dense_tree_matches_scalar_walk() {
-        let (f, t, l, r, v) = toy_tree();
-        let dense = DenseTree::from_flat(&f, &t, &l, &r, &v).expect("depth 2 densifies");
         // The depth-1 leaf 10.0 is padded down to depth 2, so the table
-        // holds 4 leaf slots.
-        for row in [
-            vec![0.0, 0.0],
-            vec![2.0, -1.0],
-            vec![2.0, 1.0],
-            vec![1.5, 9.0],
-        ] {
-            let want = walk_scalar(&row, &f, &t, &l, &r, &v);
-            assert_eq!(want.to_bits(), dense.eval(&row).to_bits(), "row {row:?}");
+        // holds 4 leaf slots; a one-tree forest sums from +0.0.
+        let forest = DenseForest::new(&[toy_dense()]);
+        for row in toy_rows() {
+            let want = 0.0 + walk_scalar(&row);
+            assert_eq!(want.to_bits(), forest.eval(&row).to_bits(), "row {row:?}");
         }
-    }
-
-    #[test]
-    fn dense_tree_single_leaf_preserves_negative_zero() {
-        let dense = DenseTree::from_flat(&[0], &[0.0], &[0], &[0], &[-0.0]).expect("depth 0");
-        assert_eq!(dense.eval(&[]).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -724,19 +477,12 @@ mod tests {
     fn dense_forest_pads_mixed_depths_bit_identically() {
         // One depth-2 tree and one depth-0 leaf tree (value -0.0): the
         // forest pads the leaf to depth 2 and must still reproduce the
-        // per-tree sum bit for bit, including the signed zero.
-        let (f, t, l, r, v) = toy_tree();
-        let deep = DenseTree::from_flat(&f, &t, &l, &r, &v).expect("depth 2");
+        // stage-order sum bit for bit, including the signed zero.
         let leaf = DenseTree::from_flat(&[0], &[0.0], &[0], &[0], &[-0.0]).expect("depth 0");
-        let forest = DenseForest::new(&[deep.clone(), leaf.clone()]);
-        let rows = [
-            vec![0.0, 0.0],
-            vec![2.0, -1.0],
-            vec![2.0, 1.0],
-            vec![1.5, 9.0],
-        ];
+        let forest = DenseForest::new(&[toy_dense(), leaf]);
+        let rows = toy_rows();
         for row in &rows {
-            let want = deep.eval(row) + leaf.eval(row);
+            let want = 0.0 + walk_scalar(row) + -0.0;
             assert_eq!(want.to_bits(), forest.eval(row).to_bits(), "row {row:?}");
         }
         // accumulate8 must match eval per lane (two groups of the four
@@ -753,9 +499,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row shorter than forest features")]
     fn dense_forest_rejects_short_rows() {
-        let (f, t, l, r, v) = toy_tree();
-        let dense = DenseTree::from_flat(&f, &t, &l, &r, &v).expect("depth 2");
-        let forest = DenseForest::new(&[dense]);
+        let forest = DenseForest::new(&[toy_dense()]);
         // The tree reads feature 1; a 1-wide row must be refused up
         // front (the walk itself skips per-step bounds checks).
         let _ = forest.eval(&[0.0]);

@@ -1,9 +1,11 @@
 //! Regression trees (CART-style, variance-reduction splits).
 //!
 //! Fitted trees are stored as flat structure-of-arrays node tables rather
-//! than boxed enum nodes: gradient boosting evaluates 100 trees over
-//! thousands of configuration rows per `predict_all`, and a pointer-free
-//! index walk keeps that traversal in cache with no per-node indirection.
+//! than boxed enum nodes. The table is what fitting builds, what
+//! serializes, and what the scalar reference walk ([`Regressor::predict`],
+//! and every batch of a lone tree) follows. Gradient boosting's batch
+//! path re-lays its stages out densely ([`crate::simd`]) and falls back
+//! to this walk only for stages too deep to densify.
 //!
 //! Fitting is presorted: a [`SplitWorkspace`] materializes one per-feature
 //! row order over the whole dataset (sorted by `(value, row index)`),
@@ -21,7 +23,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
-use crate::linalg::Matrix;
 use crate::model::Regressor;
 
 /// Reusable presorted split-search state for one dataset.
@@ -118,12 +119,10 @@ impl Default for TreeParams {
 /// root; interior nodes route `row[feature[i]] <= threshold[i]` to
 /// `left[i]`, else `right[i]`. A leaf is an *absorbing self-loop*
 /// (`left == right == self`, with feature 0 and threshold 0.0): stepping
-/// it lands back on it regardless of the compare. That lets the
-/// fixed-depth lane-parallel walk in [`crate::simd`] step every lane
-/// `max_depth` times unconditionally — one gather/compare/select per
-/// level, no leaf-sentinel test in the hot loop. Children are always
+/// it lands back on it regardless of the compare. Children are always
 /// pushed after their parent, so `left[i] == i` uniquely identifies
-/// leaves for the early-exit scalar walk.
+/// leaves for the early-exit scalar walk and for the dense re-layout in
+/// [`crate::simd`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct FlatNodes {
     feature: Vec<u32>,
@@ -262,7 +261,7 @@ impl RegressionTree {
     }
 
     /// The fitted node table, or `None` before [`Regressor::fit`] — the
-    /// shared not-fitted gate for every predict entry point, matching the
+    /// not-fitted gate of [`Regressor::predict`], matching the
     /// `Option`-backed fitted-state checks of the other models.
     fn fitted(&self) -> Option<&FlatNodes> {
         (!self.nodes.feature.is_empty()).then_some(&self.nodes)
@@ -285,78 +284,11 @@ impl RegressionTree {
         }
     }
 
-    /// Lane width of the deep-tree fallback walk in
-    /// [`RegressionTree::accumulate_batch`].
-    pub(crate) const ACCUM_LANES: usize = 16;
-
-    /// Densify this tree for the pointer-free heap walk, or `None` when
+    /// Densify this tree for [`crate::simd::DenseForest`], or `None` when
     /// it exceeds [`crate::simd::DENSE_MAX_DEPTH`].
     pub(crate) fn densify(&self) -> Option<crate::simd::DenseTree> {
         let n = &self.nodes;
         crate::simd::DenseTree::from_flat(&n.feature, &n.threshold, &n.left, &n.right, &n.value)
-    }
-
-    /// Add this tree's prediction for every matrix row into `sums`
-    /// (gradient boosting's inner loop). The tree is first re-laid out
-    /// as a dense complete tree ([`crate::simd::DenseTree`], a few
-    /// hundred bytes for the shallow boosting learners — built once per
-    /// batch, amortized over every row), then full 4-row blocks walk
-    /// lane-parallel with computed children and the `rows % 4` tail
-    /// walks one row at a time. Trees too deep to densify take the
-    /// 16-wide interleaved flat-table walk instead
-    /// ([`crate::simd::tree_accumulate`]).
-    pub(crate) fn accumulate_batch(&self, rows: &Matrix, sums: &mut [f64]) {
-        debug_assert_eq!(sums.len(), rows.rows());
-        if let Some(dense) = self.densify() {
-            let split = rows.group_tail::<8>();
-            let (head, tail) = sums.split_at_mut(split);
-            for (block, s8) in rows.row_chunks::<8>().zip(head.chunks_exact_mut(8)) {
-                // mct-tidy: allow(P003) -- chunks_exact_mut(8) yields exactly 8
-                let s8: &mut [f64; 8] = s8.try_into().expect("lane-width chunk");
-                dense.accumulate8(block, rows.cols(), s8);
-            }
-            for (r, s) in (split..rows.rows()).zip(tail.iter_mut()) {
-                *s += dense.eval(rows.row(r));
-            }
-            return;
-        }
-        const W: usize = RegressionTree::ACCUM_LANES;
-        let feature = self.nodes.feature.as_slice();
-        let threshold = self.nodes.threshold.as_slice();
-        let left = self.nodes.left.as_slice();
-        let right = self.nodes.right.as_slice();
-        let value = self.nodes.value.as_slice();
-        let split = rows.group_tail::<W>();
-        let (head, tail) = sums.split_at_mut(split);
-        for (lanes, sw) in rows.row_groups::<W>().zip(head.chunks_exact_mut(W)) {
-            // mct-tidy: allow(P003) -- chunks_exact_mut(W) yields exactly W
-            let sw: &mut [f64; W] = sw.try_into().expect("lane-width chunk");
-            crate::simd::tree_accumulate(
-                &lanes,
-                feature,
-                threshold,
-                left,
-                right,
-                value,
-                self.params.max_depth,
-                sw,
-            );
-        }
-        for (r, s) in (split..rows.rows()).zip(tail.iter_mut()) {
-            let row = rows.row(r);
-            let mut i = 0usize;
-            loop {
-                if left[i] as usize == i {
-                    *s += value[i];
-                    break;
-                }
-                i = if row[feature[i] as usize] <= threshold[i] {
-                    left[i] as usize
-                } else {
-                    right[i] as usize
-                };
-            }
-        }
     }
 
     /// Number of leaves (diagnostics).
@@ -530,34 +462,6 @@ impl Regressor for RegressionTree {
         self.eval_row(row)
     }
 
-    fn predict_batch(&self, rows: &Matrix) -> Vec<f64> {
-        // mct-tidy: allow(P003) -- Regressor contract: fit() before predict()
-        let nodes = self.fitted().expect("model not fitted");
-        const W: usize = RegressionTree::ACCUM_LANES;
-        let mut out = Vec::with_capacity(rows.rows());
-        if let Some(dense) = self.densify() {
-            // The dense walk *assigns* the leaf value (never sums from
-            // +0.0), so a -0.0 leaf survives bit-exactly.
-            out.extend(rows.row_iter().map(|row| dense.eval(row)));
-            return out;
-        }
-        for lanes in rows.row_groups::<W>() {
-            out.extend(crate::simd::tree_eval(
-                &lanes,
-                &nodes.feature,
-                &nodes.threshold,
-                &nodes.left,
-                &nodes.right,
-                &nodes.value,
-                self.params.max_depth,
-            ));
-        }
-        for r in rows.group_tail::<W>()..rows.rows() {
-            out.push(self.eval_row(rows.row(r)));
-        }
-        out
-    }
-
     fn name(&self) -> &'static str {
         "regression-tree"
     }
@@ -566,6 +470,7 @@ impl Regressor for RegressionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::Matrix;
 
     fn step_data() -> Dataset {
         // y = 1 for x < 5, y = 9 for x >= 5: a single split nails it.

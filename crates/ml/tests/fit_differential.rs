@@ -1,84 +1,25 @@
-//! Release-mode differential suite for the fast fit paths.
+//! Release-mode suite for the fit paths' bit-level contracts.
 //!
-//! The training overhaul (warm-started lasso paths, fold-cached CV)
-//! promises *bit-identity*, not just closeness: warm-started coordinate
-//! descent must land on the same `to_bits()` fixpoint as a cold start.
-//! These tests pin that contract on realistic problem shapes
-//! (quadratic-expanded feature spaces) plus the degenerate shapes the
-//! controller can feed the learners (single row, constant target,
-//! oversized k).
+//! The hierarchical fit is pinned to blessed `to_bits()` weights and
+//! predictions: the design matrix's layout and the gradient buffer's
+//! reuse must not change a single bit. The rest pins the degenerate
+//! shapes a controller segment can hand the learners (zero rows, a single
+//! row, a constant target, a constant feature column) on the solvers the
+//! controller, Table 6 and Figure 4 actually run: `GradientBoosting` and
+//! `LassoRegression` at fixed penalties.
 //!
 //! Run in release (CI's determinism job does): optimization levels must
 //! not change the bits either.
 
 use mct_ml::{
-    lasso_path_fits, quadratic_expand, Dataset, GradientBoosting, GradientBoostingParams,
-    HierarchicalPredictor, LassoFoldCache, Regressor,
+    Dataset, GradientBoosting, GradientBoostingParams, HierarchicalPredictor, LassoRegression,
+    Regressor,
 };
 
-/// A deterministic, mildly noisy nonlinear dataset, quadratic-expanded
-/// like the controller's quad-lasso feature space.
-fn quad_data(n: usize) -> Dataset {
-    let rows: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            let a = (i % 13) as f64;
-            let b = ((i * 7) % 11) as f64;
-            let c = ((i * 3) % 17) as f64 / 4.0;
-            let d = ((i * 31) % 23) as f64 / 8.0;
-            quadratic_expand(&[a, b, c, d])
-        })
-        .collect();
-    let y: Vec<f64> = (0..n)
-        .map(|i| {
-            let a = (i % 13) as f64;
-            let c = ((i * 3) % 17) as f64 / 4.0;
-            3.0 * a - 1.5 * a * c + 0.25 * c * c + ((i * 5) % 7) as f64 * 0.01
-        })
-        .collect();
-    Dataset::from_rows(rows, y)
-}
-
-#[test]
-fn warm_lasso_path_is_bitwise_equal_to_cold_start() {
-    let data = quad_data(84); // the controller's sample-set size
-    let cache = LassoFoldCache::new(&data, 4);
-    let warm = lasso_path_fits(&cache, 1e-3, 1e2, 12, true);
-    let cold = lasso_path_fits(&cache, 1e-3, 1e2, 12, false);
-    assert_eq!(warm.len(), cold.len());
-    for (w, c) in warm.iter().zip(&cold) {
-        assert_eq!(w.lambda.to_bits(), c.lambda.to_bits());
-        assert_eq!(w.nonzero, c.nonzero, "lambda={}", w.lambda);
-        for (a, b) in w.weights.iter().zip(&c.weights) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "full-fit weight diverged at lambda={}",
-                w.lambda
-            );
-        }
-        for (fa, fb) in w.fold_weights.iter().zip(&c.fold_weights) {
-            for (a, b) in fa.iter().zip(fb) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "fold weight diverged at lambda={}",
-                    w.lambda
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn warm_lasso_path_cv_scores_match_cold_bitwise() {
-    let data = quad_data(60);
-    let cache = LassoFoldCache::new(&data, 5);
-    let warm = lasso_path_fits(&cache, 1e-2, 10.0, 8, true);
-    let cold = lasso_path_fits(&cache, 1e-2, 10.0, 8, false);
-    for (w, c) in warm.iter().zip(&cold) {
-        assert_eq!(w.cv_r2.to_bits(), c.cv_r2.to_bits(), "lambda={}", w.lambda);
-    }
-}
+/// Penalties around the controller's fixed lambdas (0.01 for the
+/// quad-lasso predictor, 0.002 for feature selection), spanning weak to
+/// overwhelming.
+const LAMBDAS: [f64; 6] = [1e-3, 2e-3, 1e-2, 0.1, 1.0, 10.0];
 
 /// Nine offline applications over a shared 48-config grid, each a
 /// different smooth function of the knobs (the leave-one-out corpus
@@ -168,29 +109,37 @@ fn single_row_gbrt_fits_a_constant() {
 }
 
 #[test]
-fn constant_target_lasso_path_selects_nothing() {
+fn constant_target_lasso_selects_nothing() {
     let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, (i % 3) as f64]).collect();
     let data = Dataset::from_rows(rows, vec![4.25; 20]);
-    let cache = LassoFoldCache::new(&data, 4);
-    for fit in lasso_path_fits(&cache, 1e-3, 1.0, 5, true) {
-        assert_eq!(fit.nonzero, 0);
-        assert!(fit.weights.iter().all(|w| *w == 0.0));
+    for lambda in LAMBDAS {
+        let mut model = LassoRegression::new(lambda);
+        model.fit(&data);
+        assert!(
+            model.weights().iter().all(|w| *w == 0.0),
+            "lambda={lambda}: constant target has no signal"
+        );
+        assert!(model.selected_features(0.0).is_empty(), "lambda={lambda}");
+        assert_eq!(model.predict(&[3.0, 1.0]), 4.25, "lambda={lambda}");
     }
 }
 
 #[test]
 fn constant_feature_column_never_enters_the_model() {
-    // A zero-variance column has zero Gram diagonal after
-    // standardization; the solver must skip it, warm or cold.
+    // A zero-variance column has zero column norm after
+    // standardization; the solver must skip it at every penalty.
     let rows: Vec<Vec<f64>> = (0..30)
         .map(|i| vec![(i % 7) as f64, 3.5, ((i * 5) % 9) as f64])
         .collect();
     let y: Vec<f64> = rows.iter().map(|r| 2.0 * r[0] - r[2]).collect();
     let data = Dataset::from_rows(rows, y);
-    let cache = LassoFoldCache::new(&data, 4);
-    for warm in [true, false] {
-        for fit in lasso_path_fits(&cache, 1e-3, 10.0, 6, warm) {
-            assert_eq!(fit.weights[1], 0.0, "constant column got weight");
-        }
+    for lambda in LAMBDAS {
+        let mut model = LassoRegression::new(lambda);
+        model.fit(&data);
+        assert_eq!(
+            model.weights()[1],
+            0.0,
+            "lambda={lambda}: constant column got weight"
+        );
     }
 }

@@ -1,10 +1,11 @@
 //! SIMD kernels must be bit-identical to the scalar reference.
 //!
-//! The lane-parallel batch paths (lasso sparse dot, tree walk, GBRT
-//! tree-major accumulation) vectorize across rows, never across a
-//! reduction dimension, so every batch prediction must equal the
-//! pointwise scalar `predict` *to the bit* — for every model and for
-//! every `rows % 4` tail shape (1, 2, 3 and 0 trailing scalar rows).
+//! The lane-parallel batch paths (the lasso sparse dot, the GBRT
+//! dense-forest walk) vectorize across rows, never across a reduction
+//! dimension, so every batch prediction must equal the pointwise scalar
+//! `predict` *to the bit* — for every model, for every `rows % 4` and
+//! `rows % 8` tail shape, and for ensembles whose trees are too deep to
+//! densify and so take the scalar fallback.
 //! CI runs this suite in release mode, where autovectorization is
 //! actually live.
 //!
@@ -13,6 +14,7 @@
 //! interpreter finishes in minutes while still covering every tail
 //! shape and at least one multi-block batch.
 
+use mct_ml::simd::DENSE_MAX_DEPTH;
 use mct_ml::{
     Dataset, GradientBoosting, GradientBoostingParams, LassoRegression, Matrix, RegressionTree,
     Regressor, TreeParams,
@@ -118,4 +120,47 @@ fn gbrt_simd_batch_is_bit_identical_to_scalar() {
     let mut m = GradientBoosting::new(params);
     m.fit(&training_data());
     assert_batch_bit_identical(&m, "gbrt");
+}
+
+/// Rows whose targets grow geometrically (`4^i`): the best split always
+/// peels off the largest target, so with `min_leaf: 1` each tree grows a
+/// chain as deep as [`CHAIN_TREE`] allows — deeper than the dense layout
+/// takes. Query rows with a small first feature walk the whole chain.
+fn chain_data() -> Dataset {
+    let rows: Vec<Vec<f64>> = (0..24)
+        .map(|i| vec![i as f64, ((i * 7) % 13) as f64, ((i * 3) % 5) as f64])
+        .collect();
+    let y: Vec<f64> = (0..24).map(|i| 4f64.powi(i)).collect();
+    Dataset::from_rows(rows, y)
+}
+
+/// Trees allowed four levels past [`DENSE_MAX_DEPTH`].
+const CHAIN_TREE: TreeParams = TreeParams {
+    max_depth: DENSE_MAX_DEPTH + 4,
+    min_leaf: 1,
+};
+
+#[test]
+fn too_deep_tree_batch_is_bit_identical_to_scalar() {
+    let mut m = RegressionTree::new(CHAIN_TREE);
+    m.fit(&chain_data());
+    assert_batch_bit_identical(&m, "too-deep-tree");
+}
+
+#[test]
+fn too_deep_gbrt_batch_is_bit_identical_to_scalar() {
+    // Some stage fails to densify (pinned inside the crate by
+    // `gbrt::tests::geometric_targets_grow_stages_too_deep_to_densify`),
+    // so the batch takes the scalar fallback.
+    #[cfg(not(miri))]
+    let stages = 20;
+    #[cfg(miri)]
+    let stages = 4;
+    let mut m = GradientBoosting::new(GradientBoostingParams {
+        stages,
+        tree: CHAIN_TREE,
+        ..GradientBoostingParams::default()
+    });
+    m.fit(&chain_data());
+    assert_batch_bit_identical(&m, "too-deep-gbrt");
 }
