@@ -1,10 +1,9 @@
 //! # mct-bench — benchmark support
 //!
-//! The Criterion benchmarks live in `benches/` and the wall-clock
-//! snapshot binaries (`hotpath`, `fitpath`) in `src/bin/`; this library
-//! crate hosts the shared fixtures they use (synthetic sample sets,
-//! pre-built spaces) so each measures the operation, not fixture
-//! construction, and the snapshot binaries' shared command line and JSON
+//! The wall-clock snapshot binaries (`hotpath`, `fitpath`) live in
+//! `src/bin/`; this library crate hosts the shared fixtures they use
+//! (synthetic sample sets and corpora) so each measures the operation,
+//! not fixture construction, and their shared command line and JSON
 //! output step.
 
 #![warn(missing_docs)]

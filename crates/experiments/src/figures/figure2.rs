@@ -132,7 +132,7 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 
     writeln!(
         out,
-        "\n== Table 7: data requirements (overheads: `cargo bench -p mct-bench --bench predictors`) ==\n"
+        "\n== Table 7: data requirements (overheads: `BENCH_fitpath.json`, written by `fitpath`) ==\n"
     )?;
     let mut t7 = Table::new(["predictor", "needs offline data?", "needs online data?"]);
     t7.row(["offline", "yes", "no"]);
