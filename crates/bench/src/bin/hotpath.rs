@@ -1,5 +1,5 @@
 //! Emit `BENCH_hotpath.json`: wall-clock numbers for the three hot paths
-//! (simulator event loop, sweep engine, batched prediction).
+//! (simulator event loop, sweep grains, batched prediction).
 //!
 //! Run with `cargo run --release -p mct-bench --bin hotpath [-- [--json] [out.json]]`.
 //! With `--json` the report goes to stdout only (progress lines stay on
@@ -7,14 +7,14 @@
 //! CI and scripts consume. Any other flag, or a second path, is a usage
 //! error (exit 2) before anything is measured. The same binary measures pre- and
 //! post-optimization builds so perf PRs can record a like-for-like
-//! trajectory. The sweep spreads over `MCT_WORKERS` threads (default:
-//! every core).
+//! trajectory. The sweep is the path every figure runs on a cache miss
+//! (a shared warm rig, one `WarmedRig::measure` per grain) spread over
+//! `MCT_WORKERS` threads (default: every core).
 
 use std::time::Instant;
 
 use mct_core::{ConfigSpace, MetricsPredictor, ModelKind, NvmConfig};
-use mct_experiments::runner::EXPERIMENT_SEED;
-use mct_experiments::{sweep, Scale};
+use mct_experiments::{default_workers, run_grains, shared_rig, Scale, EXPERIMENT_SEED};
 use mct_sim::energy::EnergyModel;
 use mct_sim::mem::{MemConfig, MemoryController};
 use mct_sim::policy::MellowPolicy;
@@ -69,14 +69,18 @@ fn event_loop_accesses_per_sec(n: u64) -> f64 {
     accesses as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Sweep wall time (ms) over `n_configs` strided out of the full space.
+/// Sweep wall time (ms), warmup included, over `n_configs` strided out
+/// of the full space.
 fn sweep_wall_ms(n_configs: usize) -> (usize, f64) {
     let space = ConfigSpace::without_wear_quota();
     let stride = (space.len() / n_configs).max(1);
     let configs: Vec<NvmConfig> = space.configs().iter().step_by(stride).copied().collect();
     let configs = &configs[..n_configs.min(configs.len())];
+    let workload = Workload::Gups;
+    let budget = workload.detailed_insts(Scale::Quick.detailed_factor());
     let start = Instant::now();
-    let metrics = sweep(Workload::Gups, configs, Scale::Quick, EXPERIMENT_SEED);
+    let cell = shared_rig(workload, EXPERIMENT_SEED, budget);
+    let metrics = run_grains(configs, default_workers(), |c| cell.rig().measure(c));
     assert_eq!(metrics.len(), configs.len());
     // Fold the results into a checksum so the work cannot be elided.
     let checksum: f64 = metrics.iter().map(|m| m.ipc).sum();

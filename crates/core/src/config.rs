@@ -161,23 +161,6 @@ impl NvmConfig {
         [bank, eager, self.fast_latency, self.slow_latency, cancel]
     }
 
-    /// Names of the 10 vector dimensions (for feature-importance reports).
-    #[must_use]
-    pub fn feature_names() -> [&'static str; 10] {
-        [
-            "bank_aware",
-            "bank_aware_threshold",
-            "eager_writebacks",
-            "eager_threshold",
-            "wear_quota",
-            "wear_quota_target",
-            "fast_latency",
-            "slow_latency",
-            "fast_cancellation",
-            "slow_cancellation",
-        ]
-    }
-
     /// Names of the 5 compressed dimensions.
     #[must_use]
     pub fn compressed_feature_names() -> [&'static str; 5] {

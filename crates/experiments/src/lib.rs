@@ -34,6 +34,7 @@ pub mod chaos;
 pub mod figures;
 pub mod ideal;
 pub mod mix_mct;
+mod par;
 pub mod pipeline;
 pub mod report;
 pub mod runner;
@@ -46,8 +47,6 @@ pub use cache::{
 pub use ideal::{ideal_for, IdealSearch};
 pub use mix_mct::{run_mix_all, run_mix_mct};
 pub use report::{fmt_cell, Table};
-pub use runner::{
-    measure_one, shared_rig, sweep, sweep_with_threads, RigCell, WarmedRig, EXPERIMENT_SEED,
-};
+pub use runner::{shared_rig, RigCell, WarmedRig, EXPERIMENT_SEED};
 pub use scale::Scale;
 pub use sched::{default_workers, run_grains};

@@ -77,7 +77,7 @@ impl WarmMix {
 /// (warming the 8 MB shared LLC dominates the cost).
 #[must_use]
 pub fn run_mix_all(mix: Mix, scale: Scale, seed: u64, target_years: f64) -> [MixOutcome; 3] {
-    let rig = warm_rig(mix, scale, seed);
+    let rig = warm_rig(mix, seed);
     [
         run_on_rig(&rig, MixPolicy::Default, scale, seed, target_years),
         run_on_rig(&rig, MixPolicy::Static, scale, seed, target_years),
@@ -85,11 +85,10 @@ pub fn run_mix_all(mix: Mix, scale: Scale, seed: u64, target_years: f64) -> [Mix
     ]
 }
 
-fn warm_rig(mix: Mix, scale: Scale, seed: u64) -> WarmMix {
+fn warm_rig(mix: Mix, seed: u64) -> WarmMix {
     // The 8 MB shared LLC (131 k lines) must reach steady state before
     // dirty evictions flow: ~2 M instructions per core regardless of
     // scale (this is a correctness floor, not a fidelity knob).
-    let _ = scale;
     WarmMix::new(mix, seed, 2_000_000)
 }
 
@@ -103,7 +102,7 @@ pub fn run_mix_mct(
     seed: u64,
     target_years: f64,
 ) -> MixOutcome {
-    let rig = warm_rig(mix, scale, seed);
+    let rig = warm_rig(mix, seed);
     run_on_rig(&rig, policy, scale, seed, target_years)
 }
 

@@ -1,54 +1,37 @@
-//! Work-stealing fork/join engine.
+//! The deal/steal/reassemble engine behind [`crate::sched::run_grains`].
 //!
-//! The generic, dependency-free core of the experiment pipeline's grain
-//! scheduler. The experiments crate re-wraps [`run_grains_tallied`] and
-//! layers its pipeline-stats recording on top; `tests/steal_schedule.rs`
-//! model-checks the deal/steal protocol here.
-//!
-//! Item index `i` is dealt round-robin to worker `i % workers`, a
-//! drained worker steals the back half of the fullest victim's deque,
-//! and results are reassembled by input index after the join. Output
-//! order — and therefore every downstream reduction — is independent of
-//! how the work was scheduled or stolen.
+//! Grain indices are dealt round-robin into one deque per worker; a
+//! worker that drains its own deque steals the back half of a victim's.
+//! Results are keyed by input index and reassembled after the join, so
+//! output order never depends on the schedule. `sched` wraps this engine
+//! with `MCT_WORKERS` resolution and the per-worker telemetry;
+//! `tests/steal_schedule.rs` model-checks the steal protocol.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// Per-worker execution accounting for one scheduler round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerTally {
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WorkerTally {
     /// Items this worker executed.
-    pub executed: u64,
+    pub(crate) executed: u64,
     /// Executed items originally dealt to a different worker.
-    pub stolen: u64,
+    pub(crate) stolen: u64,
     /// Microseconds spent inside the work closure.
-    pub busy_us: u64,
+    pub(crate) busy_us: u64,
     /// Microseconds from worker start to worker exit.
-    pub wall_us: u64,
+    pub(crate) wall_us: u64,
 }
 
-/// Run `f` over every item on `workers` work-stealing threads and return
-/// the results in input order (no accounting).
-///
-/// # Panics
-/// Propagates any panic raised by `f`.
-pub fn run_grains<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_grains_tallied(items, workers, f).0
-}
-
-/// [`run_grains`] plus per-worker tallies for the round. With
-/// `workers == 1` (or a single item) the batch runs inline with no
-/// thread spawns and reports a single-worker tally.
-///
-/// # Panics
-/// Propagates any panic raised by `f`.
-pub fn run_grains_tallied<T, R, F>(items: &[T], workers: usize, f: F) -> (Vec<R>, Vec<WorkerTally>)
+/// The engine behind [`crate::sched::run_grains`]: results in input order plus one
+/// tally per worker. With `workers == 1` (or a single item) the batch
+/// runs inline with no thread spawns and reports a single-worker tally.
+pub(crate) fn run_grains_tallied<T, R, F>(
+    items: &[T],
+    workers: usize,
+    f: F,
+) -> (Vec<R>, Vec<WorkerTally>)
 where
     T: Sync,
     R: Send,
@@ -85,7 +68,6 @@ where
         .map(|w| Mutex::new((w..n).step_by(workers).collect()))
         .collect();
 
-    let mut tallies = vec![WorkerTally::default(); workers];
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
 
@@ -101,7 +83,6 @@ where
                     loop {
                         // Queue mutexes cannot be poisoned: a panicking
                         // closure unwinds the whole scope, never a lock holder.
-                        // mct-tidy: allow(P003) -- unpoisonable queue mutex (see above)
                         let job = queues[me].lock().expect("grain queue").pop_front();
                         let idx = match job {
                             Some(idx) => idx,
@@ -133,17 +114,19 @@ where
             .collect()
     });
 
-    for (w, (tally, results)) in per_worker.into_iter().enumerate() {
-        tallies[w] = tally;
-        for (idx, r) in results {
-            slots[idx] = Some(r);
-        }
-    }
+    let tallies = per_worker
+        .into_iter()
+        .map(|(tally, results)| {
+            for (idx, r) in results {
+                slots[idx] = Some(r);
+            }
+            tally
+        })
+        .collect();
     // Every dealt index is either executed by its owner or stolen; a
     // missing slot is a scheduler bug, not a data error.
     let out = slots
         .into_iter()
-        // mct-tidy: allow(P003) -- scheduler invariant: every slot filled (see above)
         .map(|r| r.expect("scheduler executed every grain"))
         .collect();
     (out, tallies)
@@ -158,7 +141,6 @@ fn steal(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
     for offset in 1..workers {
         let victim = (me + offset) % workers;
         let mut batch = {
-            // mct-tidy: allow(P003) -- see lock rationale in the worker loop
             let mut q = queues[victim].lock().expect("grain queue");
             let len = q.len();
             if len == 0 {
@@ -169,10 +151,9 @@ fn steal(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
             // Victim guard drops here, before the thief touches its own
             // queue: the steal protocol never holds two locks at once.
         };
-        // mct-tidy: allow(P003) -- split_off(keep) with keep < len is non-empty
+        // split_off(keep) with keep < len is non-empty.
         let first = batch.pop_front().expect("stolen batch is non-empty");
         if !batch.is_empty() {
-            // mct-tidy: allow(P003) -- see lock rationale in the worker loop
             queues[me].lock().expect("grain queue").append(&mut batch);
         }
         return Some(first);
@@ -189,7 +170,7 @@ mod tests {
         for n in [1usize, 2, 3, 7, 13, 64, 100] {
             for workers in [1usize, 2, 3, 8, 200] {
                 let items: Vec<usize> = (0..n).collect();
-                let got = run_grains(&items, workers, |&x| x * 3 + 1);
+                let (got, _) = run_grains_tallied(&items, workers, |&x| x * 3 + 1);
                 let want: Vec<usize> = items.iter().map(|&x| x * 3 + 1).collect();
                 assert_eq!(got, want, "n={n} workers={workers}");
             }
@@ -220,7 +201,7 @@ mod tests {
     fn propagates_worker_panics() {
         let items: Vec<u32> = (0..32).collect();
         let result = std::panic::catch_unwind(|| {
-            run_grains(&items, 4, |&x| {
+            run_grains_tallied(&items, 4, |&x| {
                 assert!(x != 17, "injected failure");
                 x
             })

@@ -1,4 +1,4 @@
-//! The sweep engine: measure one configuration, or brute-force many.
+//! Warmed measurement rigs: the unit every sweep grain measures on.
 //!
 //! Warm-state cloning makes the "ideal policy" search tractable: each
 //! workload is warmed once under the default policy, then the warmed
@@ -12,10 +12,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use mct_core::NvmConfig;
-use mct_sim::rigset::{RigSet, DEFAULT_SLICE_INSTS};
 use mct_sim::stats::Metrics;
 use mct_sim::system::{System, SystemConfig};
-use mct_sim::trace::AccessSource;
 use mct_telemetry::pipeline_stats;
 use mct_workloads::{Workload, WorkloadSource};
 
@@ -88,49 +86,6 @@ impl WarmedRig {
         sys.reset_stats();
         sys.run_window(&mut src, self.detailed_insts);
         sys.finalize().metrics()
-    }
-
-    /// Measure several configurations in one interleaved pass over the
-    /// shared detailed window ([`mct_sim::RigSet`]): the trace events
-    /// are generated once and replayed through every candidate's clone,
-    /// instead of once per candidate. Results are bit-identical to
-    /// calling [`WarmedRig::measure`] per config — same clone, same
-    /// policy swap, same reset, and (by the rig-set slice argument) the
-    /// same event sequence in the same order.
-    #[must_use]
-    pub fn measure_batch(&self, cfgs: &[NvmConfig]) -> Vec<Metrics> {
-        self.measure_batch_with_slice(cfgs, DEFAULT_SLICE_INSTS)
-    }
-
-    /// [`WarmedRig::measure_batch`] with an explicit interleave slice
-    /// (benchmarks tune it; results are slice-independent by the rig-set
-    /// bit-identity argument).
-    #[must_use]
-    pub fn measure_batch_with_slice(&self, cfgs: &[NvmConfig], slice_insts: u64) -> Vec<Metrics> {
-        if cfgs.is_empty() {
-            return Vec::new();
-        }
-        // mct-tidy: allow(D002) -- pipeline-stats accounting only; never feeds results
-        let t0 = Instant::now();
-        let systems: Vec<System> = cfgs
-            .iter()
-            .map(|cfg| {
-                let mut sys = self.sys.clone();
-                sys.set_policy(cfg.to_policy());
-                sys.reset_stats();
-                sys
-            })
-            .collect();
-        let stats = pipeline_stats();
-        stats.add("pipeline.rig_clones", cfgs.len() as u64);
-        stats.add("pipeline.clone_us", t0.elapsed().as_micros() as u64);
-        let mut src = self.src.clone();
-        let mut set = RigSet::new(systems);
-        set.run_window_shared(&mut src, self.detailed_insts, slice_insts);
-        set.into_systems()
-            .into_iter()
-            .map(|mut sys| sys.finalize().metrics())
-            .collect()
     }
 
     /// Arm a deterministic fault plan on the warmed system. Every
@@ -221,61 +176,6 @@ pub fn shared_rig(workload: Workload, seed: u64, detailed_insts: u64) -> Arc<Rig
     cell
 }
 
-/// Measure a single configuration on a workload (fresh warmup).
-#[must_use]
-pub fn measure_one(workload: Workload, cfg: &NvmConfig, scale: Scale, seed: u64) -> Metrics {
-    WarmedRig::new(workload, scale, seed).measure(cfg)
-}
-
-/// Brute-force sweep: metrics for every configuration in `configs`,
-/// spread over [`crate::sched::default_workers`] threads (`MCT_WORKERS`,
-/// else the available cores).
-#[must_use]
-pub fn sweep(workload: Workload, configs: &[NvmConfig], scale: Scale, seed: u64) -> Vec<Metrics> {
-    let threads = crate::sched::default_workers();
-    sweep_with_threads(workload, configs, scale, seed, threads)
-}
-
-/// How many candidate configs one worker grain drives through a shared
-/// [`RigSet`] event loop. Larger batches amortize event generation over
-/// more candidates but coarsen the work-stealing grain.
-const SWEEP_RIG_BATCH: usize = 8;
-
-/// [`sweep`] with an explicit worker count (determinism tests compare
-/// thread counts; production callers use [`sweep`]).
-///
-/// Workers are handed [`RigSet`] batches of [`SWEEP_RIG_BATCH`] configs
-/// rather than single configs: each grain interleaves its candidates
-/// through one event loop ([`WarmedRig::measure_batch`]), generating the
-/// shared trace once per batch instead of once per candidate. Batches
-/// partition `configs` in order and each batch's results come back in
-/// order, so output order — and, since `measure_batch` is bit-identical
-/// to `measure`, every metric bit — is unchanged from the per-config
-/// sweep at any thread count.
-#[must_use]
-pub fn sweep_with_threads(
-    workload: Workload,
-    configs: &[NvmConfig],
-    scale: Scale,
-    seed: u64,
-    threads: usize,
-) -> Vec<Metrics> {
-    let rig = WarmedRig::new(workload, scale, seed);
-    let batches: Vec<&[NvmConfig]> = configs.chunks(SWEEP_RIG_BATCH).collect();
-    crate::sched::run_grains(&batches, threads, |batch| rig.measure_batch(batch))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// A tiny helper for replaying the shared stream through an arbitrary
-/// source type in tests.
-pub fn run_detailed<S: AccessSource>(sys: &mut System, src: &mut S, insts: u64) -> Metrics {
-    sys.reset_stats();
-    sys.run_window(src, insts);
-    sys.finalize().metrics()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,35 +209,18 @@ mod tests {
     }
 
     #[test]
-    fn measure_batch_matches_measure_bit_for_bit() {
-        // Ragged batch sizes included: the interleaved rig-set pass must
-        // reproduce the sequential per-config measurement exactly.
-        let rig = WarmedRig::new(Workload::Stream, Scale::Quick, 1);
-        let configs: Vec<NvmConfig> = [1.0f64, 1.5, 2.0, 2.5, 3.0]
-            .iter()
-            .map(|&lat| NvmConfig {
-                slow_latency: lat.max(1.0),
-                ..NvmConfig::default_config()
-            })
-            .collect();
-        for n in [1usize, 3, 5] {
-            let batch = rig.measure_batch(&configs[..n]);
-            for (cfg, got) in configs[..n].iter().zip(&batch) {
-                assert_eq!(*got, rig.measure(cfg), "n={n}");
-            }
-        }
-        assert!(rig.measure_batch(&[]).is_empty());
-    }
-
-    #[test]
     fn sweep_matches_individual_measurements() {
+        // The pipeline's grain path — the shared pool rig measured on
+        // two workers — must reproduce a fresh rig's serial loop.
         let configs = vec![
             NvmConfig::default_config(),
             NvmConfig::static_baseline(),
             NvmConfig::static_baseline().without_wear_quota(),
         ];
+        let budget = Workload::Gups.detailed_insts(Scale::Quick.detailed_factor());
+        let cell = shared_rig(Workload::Gups, 2, budget);
+        let swept = crate::sched::run_grains(&configs, 2, |c| cell.rig().measure(c));
         let rig = WarmedRig::new(Workload::Gups, Scale::Quick, 2);
-        let swept = sweep(Workload::Gups, &configs, Scale::Quick, 2);
         for (cfg, m) in configs.iter().zip(&swept) {
             assert_eq!(*m, rig.measure(cfg));
         }

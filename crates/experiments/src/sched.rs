@@ -7,12 +7,12 @@
 //! back half of a victim's, so a run of slow grains (one workload's
 //! configs are not uniformly priced) cannot strand work on one core.
 //!
-//! The deal/steal/reassemble engine itself lives in [`mct_ml::par`];
-//! this module owns the pipeline-facing policy around it: `MCT_WORKERS`
+//! Around the deal/steal/reassemble engine (the private `par` module) sit `MCT_WORKERS`
 //! resolution and the per-worker executed/stolen/busy accounting,
 //! written as `pipeline.worker.*{worker="<i>"}` series into the
 //! process-wide [`mct_telemetry::pipeline_stats`] registry, which
 //! `mct report` and `mct metrics` render from the pipeline trace.
+//! `tests/steal_schedule.rs` model-checks the steal protocol.
 //!
 //! Results are keyed by input index and reassembled after the join, so
 //! output order — and therefore every downstream figure — is identical
@@ -21,6 +21,8 @@
 use std::num::NonZeroUsize;
 
 use mct_telemetry::pipeline_stats;
+
+use crate::par::run_grains_tallied;
 
 /// How the worker count was decided.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,7 +111,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let (out, tallies) = mct_ml::par::run_grains_tallied(items, workers, f);
+    let (out, tallies) = run_grains_tallied(items, workers, f);
     if tallies.is_empty() {
         return out;
     }
@@ -134,7 +136,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn preserves_input_order_for_all_shapes() {
@@ -174,15 +176,23 @@ mod tests {
         // by thread identity (the thread that ran grain 0 spun the whole
         // round, so no other worker-0 grain can carry its id); the
         // global counters only get lower bounds because concurrently
-        // running tests share them.
+        // running tests share them. Every other grain waits for grain 0
+        // to start: otherwise, if worker 0's thread started late, the
+        // others could drain their queues and steal grain 0 itself.
         let n = 64usize;
         let workers = 4;
         let done = AtomicUsize::new(0);
+        let started = AtomicBool::new(false);
         let items: Vec<usize> = (0..n).collect();
         let before = pipeline_stats().snapshot();
         let got = run_grains(&items, workers, |&x| {
             if x == 0 {
+                started.store(true, Ordering::SeqCst);
                 while done.load(Ordering::SeqCst) < n - 1 {
+                    std::thread::yield_now();
+                }
+            } else {
+                while !started.load(Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
             }

@@ -15,7 +15,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mct_core::NvmConfig;
 use mct_experiments::cache::{cached_measurement, grain_key, GrainStore};
-use mct_experiments::{measure_one, Scale, CACHE_VERSION, EXPERIMENT_SEED};
+use mct_experiments::{Scale, WarmedRig, CACHE_VERSION, EXPERIMENT_SEED};
 use mct_persist::{StateStore, TempDir};
 use mct_sim::stats::Metrics;
 use mct_telemetry::pipeline_stats;
@@ -53,12 +53,12 @@ fn cache_hit_is_bit_identical_and_damage_is_survivable() {
     let cfg = NvmConfig::default_config();
     let budget = workload.detailed_insts(scale.detailed_factor());
     let key = grain_key(workload, EXPERIMENT_SEED, budget, &cfg);
-    let fresh = bits(measure_one(workload, &cfg, scale, EXPERIMENT_SEED));
+    let fresh = bits(WarmedRig::new(workload, scale, EXPERIMENT_SEED).measure(&cfg));
     let measure = |store: &GrainStore| {
         let computes = AtomicUsize::new(0);
         let m = cached_measurement(store, key, || {
             computes.fetch_add(1, Ordering::SeqCst);
-            measure_one(workload, &cfg, scale, EXPERIMENT_SEED)
+            WarmedRig::new(workload, scale, EXPERIMENT_SEED).measure(&cfg)
         });
         assert_eq!(bits(m), fresh, "cached or not, the bits must match");
         computes.load(Ordering::SeqCst)

@@ -1,23 +1,39 @@
-//! Parallel sweeps must be bit-identical to a serial measurement loop.
+//! Sweeps must be bit-identical to a serial measurement loop.
 //!
-//! The sweep engine hands disjoint `&mut` result chunks to scoped
-//! threads; nothing about scheduling may leak into the physics. This
-//! test measures 64+ configurations serially on one warmed rig, then
-//! replays the same sweep at several worker counts and demands
-//! bit-for-bit equal metrics.
+//! Every figure measures its configurations as grains on the
+//! work-stealing scheduler ([`run_grains`]), one clone of a warmed rig
+//! per grain; nothing about scheduling may leak into the physics. The
+//! grid below runs that path at several worker counts, on an unarmed rig
+//! and on one armed with an empty fault plan, and demands bit-for-bit
+//! equal metrics against a serial loop.
 
 use mct_core::{ConfigSpace, NvmConfig};
 use mct_experiments::sched::run_grains;
-use mct_experiments::{sweep_with_threads, Scale, WarmedRig, EXPERIMENT_SEED};
+use mct_experiments::{Scale, WarmedRig, EXPERIMENT_SEED};
+use mct_sim::stats::Metrics;
 use mct_sim::FaultPlan;
 use mct_workloads::Workload;
 
+fn bits(m: &Metrics) -> [u64; 3] {
+    [
+        m.ipc.to_bits(),
+        m.lifetime_years.to_bits(),
+        m.energy_j.to_bits(),
+    ]
+}
+
+/// {unarmed, armed-empty [`FaultPlan`]} × workers {1, 2, 3, 8}: each
+/// cell's grain sweep must match a serial loop over the same closure.
+/// The armed-empty column also carries the fault layer's zero-overhead
+/// contract: every fault hook is a single `Option`-gated branch whose
+/// empty-runtime body draws nothing and perturbs nothing, so its serial
+/// loop must match the unarmed one.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "slow in debug builds; CI runs this suite under --release"
 )]
-fn parallel_sweep_is_bit_identical_to_serial() {
+fn grain_sweeps_unarmed_and_armed_empty_are_bit_identical_to_serial() {
     let space = ConfigSpace::without_wear_quota();
     let stride = (space.len() / 64).max(1);
     let configs: Vec<NvmConfig> = space
@@ -29,136 +45,24 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         .collect();
     assert!(configs.len() >= 64, "need at least 64 configurations");
 
-    // The reference: one warmed rig, measured strictly serially.
-    let rig = WarmedRig::new(Workload::Gups, Scale::Quick, EXPERIMENT_SEED);
-    let serial: Vec<_> = configs.iter().map(|c| rig.measure(c)).collect();
-
-    for threads in [1usize, 2, 3, 8] {
-        let par = sweep_with_threads(
-            Workload::Gups,
-            &configs,
-            Scale::Quick,
-            EXPERIMENT_SEED,
-            threads,
-        );
-        assert_eq!(par.len(), serial.len(), "threads={threads}");
-        for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-            assert_eq!(
-                a.ipc.to_bits(),
-                b.ipc.to_bits(),
-                "ipc differs at config {i} with {threads} threads"
-            );
-            assert_eq!(
-                a.lifetime_years.to_bits(),
-                b.lifetime_years.to_bits(),
-                "lifetime differs at config {i} with {threads} threads"
-            );
-            assert_eq!(
-                a.energy_j.to_bits(),
-                b.energy_j.to_bits(),
-                "energy differs at config {i} with {threads} threads"
-            );
-        }
-    }
-}
-
-/// The interleaved rig-set loop's contract, differential form: sweeps
-/// whose config counts leave ragged trailing batches (smaller than the
-/// rig-set batch size) must still be bit-identical to the serial
-/// per-config loop at every worker count. Sizes 3 and 5 exercise a
-/// single short batch; 19 exercises full batches plus a short tail.
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "slow in debug builds; CI runs this suite under --release"
-)]
-fn ragged_rig_set_batches_sweep_bit_identical_to_serial() {
-    let space = ConfigSpace::without_wear_quota();
-    let stride = (space.len() / 19).max(1);
-    let configs: Vec<NvmConfig> = space
-        .configs()
-        .iter()
-        .step_by(stride)
-        .take(19)
-        .copied()
-        .collect();
-    let rig = WarmedRig::new(Workload::Stream, Scale::Quick, EXPERIMENT_SEED);
-    for n in [3usize, 5, 19] {
-        let serial: Vec<_> = configs[..n].iter().map(|c| rig.measure(c)).collect();
-        for threads in [1usize, 2, 8] {
-            let par = sweep_with_threads(
-                Workload::Stream,
-                &configs[..n],
-                Scale::Quick,
-                EXPERIMENT_SEED,
-                threads,
-            );
-            for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-                assert_eq!(
-                    a.ipc.to_bits(),
-                    b.ipc.to_bits(),
-                    "ipc differs at config {i} with n={n} threads={threads}"
-                );
-                assert_eq!(
-                    a.lifetime_years.to_bits(),
-                    b.lifetime_years.to_bits(),
-                    "lifetime differs at config {i} with n={n} threads={threads}"
-                );
-                assert_eq!(
-                    a.energy_j.to_bits(),
-                    b.energy_j.to_bits(),
-                    "energy differs at config {i} with n={n} threads={threads}"
-                );
-            }
-        }
-    }
-}
-
-/// The fault layer's zero-overhead contract, differential form: a rig
-/// with an armed-but-*empty* [`FaultPlan`] must measure bit-identically
-/// to an unarmed rig, at every worker count. Every fault hook is a
-/// single `Option`-gated branch whose empty-runtime body draws nothing
-/// and perturbs nothing, so the physics — and therefore every bit of
-/// every metric — must match.
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "slow in debug builds; CI runs this suite under --release"
-)]
-fn armed_empty_fault_plan_sweeps_bit_identical_to_unarmed() {
-    let space = ConfigSpace::without_wear_quota();
-    let stride = (space.len() / 32).max(1);
-    let configs: Vec<NvmConfig> = space
-        .configs()
-        .iter()
-        .step_by(stride)
-        .take(32)
-        .copied()
-        .collect();
-
     let unarmed = WarmedRig::new(Workload::Gups, Scale::Quick, EXPERIMENT_SEED);
-    let mut armed = WarmedRig::new(Workload::Gups, Scale::Quick, EXPERIMENT_SEED);
+    let mut armed = unarmed.clone();
     armed.arm_faults(&FaultPlan::empty(42));
+    let unarmed_serial: Vec<[u64; 3]> = configs.iter().map(|c| bits(&unarmed.measure(c))).collect();
 
-    for threads in [1usize, 2, 8] {
-        let base = run_grains(&configs, threads, |c| unarmed.measure(c));
-        let faulted = run_grains(&configs, threads, |c| armed.measure(c));
-        for (i, (a, b)) in base.iter().zip(&faulted).enumerate() {
-            assert_eq!(
-                a.ipc.to_bits(),
-                b.ipc.to_bits(),
-                "ipc differs at config {i} with {threads} threads"
-            );
-            assert_eq!(
-                a.lifetime_years.to_bits(),
-                b.lifetime_years.to_bits(),
-                "lifetime differs at config {i} with {threads} threads"
-            );
-            assert_eq!(
-                a.energy_j.to_bits(),
-                b.energy_j.to_bits(),
-                "energy differs at config {i} with {threads} threads"
-            );
+    for (label, rig) in [("unarmed", &unarmed), ("armed-empty", &armed)] {
+        let measure = |c: &NvmConfig| rig.measure(c);
+        let serial: Vec<[u64; 3]> = configs.iter().map(|c| bits(&measure(c))).collect();
+        assert_eq!(serial, unarmed_serial, "{label}: serial loop");
+        for workers in [1usize, 2, 3, 8] {
+            let swept: Vec<[u64; 3]> = run_grains(&configs, workers, measure)
+                .iter()
+                .map(bits)
+                .collect();
+            assert_eq!(swept.len(), serial.len(), "{label} workers={workers}");
+            for (i, (a, b)) in serial.iter().zip(&swept).enumerate() {
+                assert_eq!(a, b, "{label}: config {i} differs with {workers} workers");
+            }
         }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The differential tests prove `run_grains` is bit-identical to serial
 //! for the schedules the OS happened to produce; this harness proves it
-//! for *every* schedule at a bounded size. The steal protocol from
-//! `mct_ml::par` is modeled as a state machine whose atomic steps are
-//! exactly its lock-hold regions:
+//! for *every* schedule at a bounded size. The steal protocol of the
+//! engine behind `mct_experiments::sched::run_grains` is modeled as a state machine whose atomic
+//! steps are exactly its lock-hold regions:
 //!
 //! - **pop-own** — lock own deque, `pop_front` (execution of the popped
 //!   grain is thread-local and folds into the same step);
@@ -23,7 +23,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use mct_ml::par::run_grains;
+use mct_experiments::run_grains;
 
 /// Deterministic, bit-patterned grain work: distinct mantissa bits per
 /// index so any reordering or loss shows up in `to_bits`.

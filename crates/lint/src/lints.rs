@@ -199,16 +199,14 @@ impl FileScope {
             wall_clock_allowed: in_dir("crates/telemetry/")
                 || in_dir("crates/bench/")
                 || path == "crates/experiments/src/sched.rs"
-                || path == "crates/ml/src/par.rs",
+                || path == "crates/experiments/src/par.rs",
             panic_guarded: in_dir("crates/sim/src/")
                 || in_dir("crates/ml/src/")
                 || in_dir("crates/core/src/")
                 || in_dir("crates/telemetry/src/")
                 || in_dir("crates/persist/src/"),
-            lock_guarded: path.ends_with("crates/experiments/src/sched.rs")
-                || path == "crates/experiments/src/sched.rs"
-                || path.ends_with("crates/ml/src/par.rs")
-                || path == "crates/ml/src/par.rs",
+            lock_guarded: path == "crates/experiments/src/sched.rs"
+                || path == "crates/experiments/src/par.rs",
             accum_guarded: in_dir("crates/sim/src/")
                 || in_dir("crates/ml/src/")
                 || in_dir("crates/core/src/")
@@ -628,7 +626,7 @@ mod tests {
         assert_eq!(check("crates/core/src/controller.rs", src)[0].lint, "D002");
         assert!(check("crates/telemetry/src/registry.rs", src).is_empty());
         assert!(check("crates/experiments/src/sched.rs", src).is_empty());
-        assert!(check("crates/ml/src/par.rs", src).is_empty());
+        assert!(check("crates/experiments/src/par.rs", src).is_empty());
         assert!(check("crates/bench/src/bin/hotpath.rs", src).is_empty());
     }
 
@@ -720,8 +718,7 @@ mod tests {
         let src = "fn f() { let a = q[0].lock().unwrap(); let b = q[1].lock().unwrap(); }\n";
         let got = check("crates/experiments/src/sched.rs", src);
         assert!(got.iter().any(|v| v.lint == "L001"), "{got:?}");
-        // The hoisted engine in mct-ml is the same scheduler, same rules.
-        let got = check("crates/ml/src/par.rs", src);
+        let got = check("crates/experiments/src/par.rs", src);
         assert!(got.iter().any(|v| v.lint == "L001"), "{got:?}");
     }
 

@@ -38,25 +38,6 @@ pub fn quadratic_feature_names(base: &[&str]) -> Vec<String> {
     out
 }
 
-/// A reusable expander (implements the row-mapping closure shape used by
-/// [`crate::Dataset::map_features`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QuadraticExpander;
-
-impl QuadraticExpander {
-    /// Expanded dimensionality for `d` base features.
-    #[must_use]
-    pub fn expanded_dim(d: usize) -> usize {
-        2 * d + d * (d - 1) / 2
-    }
-
-    /// Expand one row.
-    #[must_use]
-    pub fn expand(&self, row: &[f64]) -> Vec<f64> {
-        quadratic_expand(row)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,7 +46,6 @@ mod tests {
     fn ten_dims_expand_to_65() {
         // The paper: "input vectors are expanded from 10 dimensions to 65
         // dimensions in the quadratic model".
-        assert_eq!(QuadraticExpander::expanded_dim(10), 65);
         let row: Vec<f64> = (1..=10).map(f64::from).collect();
         assert_eq!(quadratic_expand(&row).len(), 65);
     }
@@ -79,7 +59,7 @@ mod tests {
     #[test]
     fn names_align_with_values() {
         let names = quadratic_feature_names(&["a", "b", "c"]);
-        assert_eq!(names.len(), QuadraticExpander::expanded_dim(3));
+        assert_eq!(names.len(), quadratic_expand(&[1.0, 2.0, 3.0]).len());
         assert_eq!(names[0], "a");
         assert_eq!(names[3], "a^2");
         assert_eq!(names[6], "a * b");

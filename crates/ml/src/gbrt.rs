@@ -66,12 +66,6 @@ impl GradientBoosting {
         }
     }
 
-    /// Number of fitted stages.
-    #[must_use]
-    pub fn n_stages(&self) -> usize {
-        self.stages.len()
-    }
-
     /// The fitted stage trees (diagnostics and differential tests).
     #[must_use]
     pub fn stage_trees(&self) -> &[RegressionTree] {

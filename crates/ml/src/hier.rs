@@ -65,13 +65,6 @@ impl HierarchicalPredictor {
         }
     }
 
-    /// Override the projected-gradient iteration count.
-    #[must_use]
-    pub fn with_iterations(mut self, iterations: usize) -> HierarchicalPredictor {
-        self.iterations = iterations;
-        self
-    }
-
     /// The fitted mixture weights (empty before fit).
     #[must_use]
     pub fn weights(&self) -> &[f64] {

@@ -45,14 +45,6 @@ impl LassoRegression {
         }
     }
 
-    /// Override convergence controls.
-    #[must_use]
-    pub fn with_convergence(mut self, max_iters: usize, tol: f64) -> LassoRegression {
-        self.max_iters = max_iters;
-        self.tol = tol;
-        self
-    }
-
     /// Fitted weights in standardized feature space (empty before fit).
     /// Zero entries mark features lasso deemed unimportant.
     #[must_use]

@@ -39,14 +39,13 @@ mod linear;
 mod metrics;
 mod model;
 mod offline;
-pub mod par;
 mod scale;
 pub mod simd;
 mod tree;
 
 pub use cv::{cross_val_r2, kfold_indices};
 pub use dataset::Dataset;
-pub use features::{quadratic_expand, quadratic_feature_names, QuadraticExpander};
+pub use features::{quadratic_expand, quadratic_feature_names};
 pub use gbrt::{GradientBoosting, GradientBoostingParams};
 pub use hier::HierarchicalPredictor;
 pub use lasso::LassoRegression;

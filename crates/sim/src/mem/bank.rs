@@ -68,8 +68,6 @@ impl InFlightOp {
 #[derive(Debug, Clone, Default)]
 pub struct Bank {
     current: Option<InFlightOp>,
-    /// Accumulated busy time in picoseconds (for utilization stats).
-    busy_ps: u64,
     /// The currently open row (open-page policy); writes bypass it.
     open_row: Option<u64>,
 }
@@ -108,7 +106,6 @@ impl Bank {
     pub fn start(&mut self, op: InFlightOp) {
         assert!(self.current.is_none(), "bank already busy");
         debug_assert!(op.end > op.start);
-        self.busy_ps += (op.end - op.start).0;
         self.current = Some(op);
     }
 
@@ -123,29 +120,19 @@ impl Bank {
         }
     }
 
-    /// Forcibly cancel the in-flight write at `now`, freeing the bank.
+    /// Forcibly cancel the in-flight write, freeing the bank.
     ///
-    /// Returns the canceled op. Adjusts accumulated busy time to the
-    /// portion actually spent.
+    /// Returns the canceled op.
     ///
     /// # Panics
     /// Panics if idle or if the op is not a cancellable write.
-    pub fn cancel(&mut self, now: Time) -> InFlightOp {
+    pub fn cancel(&mut self) -> InFlightOp {
         let op = self.current.take().expect("cancel on idle bank"); // mct-tidy: allow(P003) -- documented `# Panics` contract
         assert!(
             op.is_write() && op.cancellable,
             "cancel on non-cancellable op"
         );
-        // start() pre-charged the full op; refund the unexecuted tail.
-        let unexecuted = op.end.saturating_since(now.max(op.start)).0;
-        self.busy_ps = self.busy_ps.saturating_sub(unexecuted);
         op
-    }
-
-    /// Total busy picoseconds accumulated.
-    #[must_use]
-    pub fn busy_ps(&self) -> u64 {
-        self.busy_ps
     }
 
     /// The open row, if any.
@@ -188,7 +175,6 @@ mod tests {
         let done = b.try_complete(Time(200)).unwrap();
         assert_eq!(done.id, ReqId(1));
         assert!(b.is_idle());
-        assert_eq!(b.busy_ps(), 100);
     }
 
     #[test]
@@ -204,10 +190,14 @@ mod tests {
     fn cancel_refunds_busy_time() {
         let mut b = Bank::new();
         b.start(write_op(100, 200, true));
-        let op = b.cancel(Time(140));
+        let op = b.cancel();
         assert_eq!(op.id, ReqId(1));
         assert!(b.is_idle());
-        assert_eq!(b.busy_ps(), 40, "only the executed 40ps counts");
+        assert_eq!(
+            b.busy_until(),
+            Time::NEVER,
+            "the unexecuted tail is given back: the bank is free before 200ps"
+        );
     }
 
     #[test]
@@ -223,7 +213,7 @@ mod tests {
     fn cancel_non_cancellable_panics() {
         let mut b = Bank::new();
         b.start(write_op(0, 10, false));
-        let _ = b.cancel(Time(5));
+        let _ = b.cancel();
     }
 
     #[test]

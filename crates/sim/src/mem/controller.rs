@@ -512,11 +512,6 @@ impl MemoryController {
         &self.energy
     }
 
-    /// Mutable energy meter (the system finalizes run-proportional terms).
-    pub fn energy_mut(&mut self) -> &mut EnergyMeter {
-        &mut self.energy
-    }
-
     /// Raw event counters.
     #[must_use]
     pub fn counters(&self) -> &MemCounters {
@@ -535,31 +530,12 @@ impl MemoryController {
         &self.cfg
     }
 
-    /// Current write-queue occupancy (exposed as a performance counter for
-    /// the MCT phase detector).
-    #[must_use]
-    pub fn write_queue_len(&self) -> usize {
-        self.write_q.len()
-    }
-
-    /// Whether the wear-quota restriction is currently active.
-    #[must_use]
-    pub fn quota_restricted(&self) -> bool {
-        self.quota.as_ref().is_some_and(WearQuota::is_restricted)
-    }
-
     /// Fraction of quota slices that were restricted (0 when quota off).
     #[must_use]
     pub fn quota_restricted_fraction(&self) -> f64 {
         self.quota
             .as_ref()
             .map_or(0.0, WearQuota::restricted_fraction)
-    }
-
-    /// Aggregate bank-busy picoseconds (utilization numerator).
-    #[must_use]
-    pub fn total_bank_busy_ps(&self) -> u64 {
-        self.banks.iter().map(Bank::busy_ps).sum()
     }
 
     // ------------------------------------------------------------------
@@ -1102,7 +1078,7 @@ impl MemoryController {
         if op.remaining_fraction(self.now) <= self.cfg.cancel_min_remaining {
             return;
         }
-        let op = self.banks[bank].cancel(self.now);
+        let op = self.banks[bank].cancel();
         self.idle_mask |= 1u64 << bank;
         self.recompute_earliest_end();
         let OpKind::Write(speed) = op.kind else {

@@ -134,26 +134,6 @@ impl BankQueue {
         self.items.push_front(p);
     }
 
-    /// Pop the oldest request targeting `bank`, if any.
-    ///
-    /// Not used by the default scheduler (which is FCFS across banks via
-    /// [`Self::pop_oldest_for_free_bank`]) but kept for per-bank
-    /// scheduling experiments.
-    #[allow(dead_code)]
-    pub(crate) fn pop_for_bank(&mut self, bank: usize) -> Option<Pending> {
-        if self.per_bank[bank] == 0 {
-            return None;
-        }
-        let idx = self.items.iter().position(|p| p.bank == bank)?;
-        let p = self
-            .items
-            .remove(idx)
-            // mct-tidy: allow(P003) -- idx comes from position() on the same deque
-            .expect("index from position is valid");
-        self.decr_bank(bank);
-        Some(p)
-    }
-
     /// Pop the oldest request in the queue (FCFS across banks) whose bank
     /// bit is set in the `free` mask.
     pub(crate) fn pop_oldest_for_free_bank(&mut self, free: u64) -> Option<Pending> {
@@ -173,12 +153,6 @@ impl BankQueue {
             .expect("index from position is valid");
         self.decr_bank(p.bank);
         Some(p)
-    }
-
-    /// Iterate over queued requests (oldest first).
-    #[allow(dead_code)]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Pending> {
-        self.items.iter()
     }
 }
 
@@ -202,10 +176,11 @@ mod tests {
         assert!(q.push_back(p(2, 1)));
         assert!(q.push_back(p(3, 0)));
         assert_eq!(q.count_for_bank(0), 2);
-        assert_eq!(q.pop_for_bank(0).unwrap().id, ReqId(1));
-        assert_eq!(q.pop_for_bank(0).unwrap().id, ReqId(3));
+        let bank0 = 0b01;
+        assert_eq!(q.pop_oldest_for_free_bank(bank0).unwrap().id, ReqId(1));
+        assert_eq!(q.pop_oldest_for_free_bank(bank0).unwrap().id, ReqId(3));
         assert_eq!(q.count_for_bank(0), 0);
-        assert!(q.pop_for_bank(0).is_none());
+        assert!(q.pop_oldest_for_free_bank(bank0).is_none());
         assert_eq!(q.len(), 1);
     }
 
@@ -228,10 +203,10 @@ mod tests {
     fn push_front_reinserts_at_head() {
         let mut q = BankQueue::new(4, 2);
         q.push_back(p(1, 0));
-        let popped = q.pop_for_bank(0).unwrap();
+        let popped = q.pop_oldest_for_free_bank(0b01).unwrap();
         q.push_back(p(2, 0));
         q.push_front(popped);
-        assert_eq!(q.pop_for_bank(0).unwrap().id, ReqId(1));
+        assert_eq!(q.pop_oldest_for_free_bank(0b01).unwrap().id, ReqId(1));
     }
 
     #[test]
@@ -256,6 +231,6 @@ mod tests {
         }
         let _ = q.pop_oldest_for_free_bank(0b1111);
         assert_eq!(q.count_for_bank(0), 2);
-        assert_eq!(q.iter().count(), 11);
+        assert_eq!(q.len(), 11);
     }
 }

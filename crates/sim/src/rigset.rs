@@ -16,6 +16,10 @@
 //! system still processes its events in exactly the order the sequential
 //! loop would, so results are bit-identical to driving each rig alone
 //! (see [`RigSet::run_window_shared`] for the argument).
+//!
+//! No sweep runs it: a sweep grain measures one candidate on one clone,
+//! since a batch of N keeps N live system clones per worker. It is the
+//! subject of e2ebench's `sim.rigset8_ns_per_event` probe.
 
 use crate::system::System;
 use crate::trace::{AccessSource, TraceEvent};
