@@ -4,7 +4,7 @@
 //!
 //! Running in-process (rather than spawning the per-figure binaries) is
 //! what makes the pipeline fast: all stages share one warm-rig pool,
-//! one grain/derived cache, and one work-stealing scheduler. Each
+//! one grain/derived cache, and one grain scheduler. Each
 //! stage's report is echoed to stdout and mirrored to
 //! `<data dir>/out/<stage>.txt`; the stage banners go to stdout only,
 //! so the mirrored files are byte-comparable across runs (the CI cache

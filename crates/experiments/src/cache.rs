@@ -16,7 +16,7 @@
 //! nothing, figures can share grains regardless of which config list
 //! requested them, and [`load_or_compute_sweeps`] flattens *all*
 //! outstanding grains across every requested sweep into one batch for
-//! the work-stealing scheduler ([`crate::sched`]).
+//! the grain scheduler ([`crate::sched`]).
 //!
 //! Loading follows the store's corruption rule and re-measures rather
 //! than crashing. A torn tail (the unacknowledged end of a killed
@@ -50,7 +50,7 @@ use mct_workloads::Workload;
 
 use crate::runner::{shared_rig, RigCell};
 use crate::scale::Scale;
-use crate::sched::{default_workers, run_grains};
+use crate::sched::{default_workers, run_grains, run_grains_tallied};
 
 /// Bump when the simulator/workload calibration changes incompatibly:
 /// stale grains are discarded on load.
@@ -400,7 +400,7 @@ struct MissGrain {
 
 /// Serve a batch of sweeps from the grain cache, measuring only the
 /// missing grains — flattened across *all* requests into one
-/// work-stealing round ([`crate::sched::run_grains`]), so a figure
+/// scheduler round ([`crate::sched::run_grains`]), so a figure
 /// needing ten workloads keeps every core busy instead of sweeping them
 /// one at a time. Fresh grains are appended to their stores as they
 /// complete; a killed run keeps them.
@@ -452,10 +452,10 @@ pub fn load_or_compute_sweeps(
 
     if !misses.is_empty() {
         let workers = default_workers();
-        // Pre-warm each distinct rig in parallel so no measurement worker
-        // stalls behind another workload's warmup. Warmups are rig work,
-        // not grains — they are accounted by the rig pool, not the
-        // scheduler.
+        // Pre-warm each distinct rig on the same pool so no measurement
+        // worker stalls behind another workload's warmup. Warmups are rig
+        // work, not grains — they are accounted by the rig pool, not as a
+        // scheduler round.
         let mut warm: Vec<Arc<RigCell>> = Vec::new();
         for g in &misses {
             if !warm.iter().any(|c| Arc::ptr_eq(c, &g.rig)) {
@@ -475,14 +475,8 @@ pub fn load_or_compute_sweeps(
                 hits
             );
         }
-        std::thread::scope(|scope| {
-            for chunk in warm.chunks(warm.len().div_ceil(workers.max(1))) {
-                scope.spawn(move || {
-                    for cell in chunk {
-                        let _ = cell.rig();
-                    }
-                });
-            }
+        let _ = run_grains_tallied(&warm, workers, |cell| {
+            let _ = cell.rig();
         });
         let _ = run_grains(&misses, workers, |g| {
             let m = g.rig.rig().measure(&g.cfg);

@@ -6,7 +6,7 @@
 //! Running the stages in one process is what makes the pipeline-scale
 //! machinery pay off — every stage shares the same warm-rig pool
 //! ([`crate::runner::shared_rig`]), the same grain/derived caches
-//! ([`crate::cache`]), and the same work-stealing scheduler
+//! ([`crate::cache`]), and the same grain scheduler
 //! ([`crate::sched`]), none of which survive a process boundary.
 
 use std::io::{self, Write};

@@ -6,7 +6,7 @@
 //! tractable here by the event-driven substrate plus warm-state cloning
 //! and on-disk caching), plus one binary per table/figure.
 //!
-//! Binaries (`cargo run --release -p mct-experiments --bin <name> [--scale quick|full]`):
+//! Binaries (`cargo run --release -p mct-experiments --bin <name> [--scale smoke|quick|full]`):
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -34,7 +34,6 @@ pub mod chaos;
 pub mod figures;
 pub mod ideal;
 pub mod mix_mct;
-mod par;
 pub mod pipeline;
 pub mod report;
 pub mod runner;
@@ -48,5 +47,5 @@ pub use ideal::{ideal_for, IdealSearch};
 pub use mix_mct::{run_mix_all, run_mix_mct};
 pub use report::{fmt_cell, Table};
 pub use runner::{shared_rig, RigCell, WarmedRig, EXPERIMENT_SEED};
-pub use scale::Scale;
+pub use scale::{Scale, ScaleArgError};
 pub use sched::{default_workers, run_grains};

@@ -1,28 +1,28 @@
-//! Work-stealing grain scheduler.
+//! Grain scheduler.
 //!
 //! The pipeline flattens every sweep into independent *measurement
 //! grains* (workload × config × budget); this module spreads a batch of
-//! grains across OS threads. Each worker owns a deque of grain indices
-//! dealt round-robin; a worker that drains its own deque steals the
-//! back half of a victim's, so a run of slow grains (one workload's
-//! configs are not uniformly priced) cannot strand work on one core.
+//! grains across OS threads. The batch is fixed before any thread
+//! starts, so workers need no queues: each claims the next grain index
+//! from one shared atomic cursor until the cursor passes the end, and a
+//! run of slow grains (one workload's configs are not uniformly priced)
+//! only means that worker claims fewer of them.
 //!
-//! Around the deal/steal/reassemble engine (the private `par` module) sit `MCT_WORKERS`
-//! resolution and the per-worker executed/stolen/busy accounting,
-//! written as `pipeline.worker.*{worker="<i>"}` series into the
-//! process-wide [`mct_telemetry::pipeline_stats`] registry, which
-//! `mct report` and `mct metrics` render from the pipeline trace.
-//! `tests/steal_schedule.rs` model-checks the steal protocol.
+//! Around that engine sit `MCT_WORKERS` resolution and the per-worker
+//! executed/busy/wall accounting, written as
+//! `pipeline.worker.*{worker="<i>"}` series into the process-wide
+//! [`mct_telemetry::pipeline_stats`] registry, which `mct report` and
+//! `mct metrics` render from the pipeline trace.
 //!
 //! Results are keyed by input index and reassembled after the join, so
 //! output order — and therefore every downstream figure — is identical
-//! no matter how the grains were scheduled or stolen.
+//! no matter which worker claimed which grain.
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use mct_telemetry::pipeline_stats;
-
-use crate::par::run_grains_tallied;
 
 /// How the worker count was decided.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,13 +94,11 @@ pub fn workers_plan(env: Option<&str>) -> WorkersPlan {
     }
 }
 
-/// Run `f` over every item on `workers` work-stealing threads and
-/// return the results in input order.
+/// Run `f` over every item on `workers` threads and return the results
+/// in input order.
 ///
-/// Grain index `i` is initially dealt to worker `i % workers`; a grain
-/// counts as *stolen* when a different worker ends up executing it.
-/// With `workers == 1` (or one item) the batch runs inline with no
-/// thread spawns. Either way one scheduler round is recorded into the
+/// The caller's thread is worker 0, so `workers == 1` (or one item)
+/// spawns nothing. Either way one scheduler round is recorded into the
 /// process pipeline registry.
 ///
 /// # Panics
@@ -115,37 +113,128 @@ where
     if tallies.is_empty() {
         return out;
     }
-    let stolen: u64 = tallies.iter().map(|t| t.stolen).sum();
     let mut registry = pipeline_stats().registry();
     registry.incr("pipeline.sched_rounds", 1);
     registry.incr("pipeline.grains_executed", items.len() as u64);
-    if stolen > 0 {
-        registry.incr("pipeline.grains_stolen", stolen);
-    }
     for (i, t) in tallies.iter().enumerate() {
         let index = i.to_string();
         let worker = [("worker", index.as_str())];
         registry.incr_with("pipeline.worker.executed", &worker, t.executed);
-        registry.incr_with("pipeline.worker.stolen", &worker, t.stolen);
         registry.incr_with("pipeline.worker.busy_us", &worker, t.busy_us);
         registry.incr_with("pipeline.worker.wall_us", &worker, t.wall_us);
     }
     out
 }
 
+/// Per-worker execution accounting for one batch.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WorkerTally {
+    /// Items this worker executed.
+    pub(crate) executed: u64,
+    /// Microseconds spent inside the work closure.
+    pub(crate) busy_us: u64,
+    /// Microseconds from worker start to worker exit.
+    pub(crate) wall_us: u64,
+}
+
+/// The crate's one thread pool: results in input order plus one tally
+/// per worker (index 0 is the caller), with no registry writes.
+///
+/// Workers claim item indices from a shared cursor until it passes the
+/// end. The caller runs worker 0's loop itself beside `workers − 1`
+/// scoped threads; a panic in any of them reaches the caller once the
+/// rest have drained the cursor.
+pub(crate) fn run_grains_tallied<T, R, F>(
+    items: &[T],
+    workers: usize,
+    f: F,
+) -> (Vec<R>, Vec<WorkerTally>)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let n = items.len();
+    if n == 0 {
+        return (Vec::new(), Vec::new());
+    }
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let wall = Instant::now();
+        let mut tally = WorkerTally::default();
+        let mut done: Vec<(usize, R)> = Vec::new();
+        loop {
+            // Relaxed suffices: the cursor publishes no data. The RMW alone
+            // hands each index out once; results travel back through join.
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            if idx >= n {
+                break;
+            }
+            let t0 = Instant::now();
+            done.push((idx, f(&items[idx])));
+            tally.busy_us += t0.elapsed().as_micros() as u64;
+            tally.executed += 1;
+        }
+        tally.wall_us = wall.elapsed().as_micros() as u64;
+        (tally, done)
+    };
+    let per_worker: Vec<(WorkerTally, Vec<(usize, R)>)> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers.clamp(1, n))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let mine = work();
+        std::iter::once(mine)
+            .chain(spawned.into_iter().map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            }))
+            .collect()
+    });
+
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
+    slots.resize_with(n, || None);
+    let tallies = per_worker
+        .into_iter()
+        .map(|(tally, done)| {
+            for (idx, r) in done {
+                slots[idx] = Some(r);
+            }
+            tally
+        })
+        .collect();
+    // The cursor hands out every index exactly once; a missing slot is a
+    // scheduler bug, not a data error.
+    let out = slots
+        .into_iter()
+        .map(|r| r.expect("scheduler executed every grain"))
+        .collect();
+    (out, tallies)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn preserves_input_order_for_all_shapes() {
+        let caller = std::thread::current().id();
         for n in [1usize, 2, 3, 7, 13, 64, 100] {
             for workers in [1usize, 2, 3, 8, 200] {
                 let items: Vec<usize> = (0..n).collect();
-                let got = run_grains(&items, workers, |&x| x * 3 + 1);
+                let got = run_grains(&items, workers, |&x| {
+                    (x * 3 + 1, std::thread::current().id())
+                });
+                let values: Vec<usize> = got.iter().map(|(v, _)| *v).collect();
                 let want: Vec<usize> = items.iter().map(|&x| x * 3 + 1).collect();
-                assert_eq!(got, want, "n={n} workers={workers}");
+                assert_eq!(values, want, "n={n} workers={workers}");
+                // One worker (or one item) spawns nothing: every grain
+                // runs on the caller's thread.
+                if workers.min(n) == 1 {
+                    assert!(
+                        got.iter().all(|(_, tid)| *tid == caller),
+                        "n={n} workers={workers}: a grain left the caller's thread"
+                    );
+                }
             }
         }
     }
@@ -154,6 +243,21 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let empty: [u32; 0] = [];
         assert!(run_grains(&empty, 4, |&x| x).is_empty());
+        let (out, tallies) = run_grains_tallied(&empty, 4, |&x| x);
+        assert!(out.is_empty());
+        assert!(tallies.is_empty());
+    }
+
+    #[test]
+    fn tallies_account_for_every_item() {
+        for workers in [1usize, 3, 8] {
+            let items: Vec<u32> = (0..40).collect();
+            let (out, tallies) = run_grains_tallied(&items, workers, |&x| x + 1);
+            assert_eq!(out.len(), 40);
+            let executed: u64 = tallies.iter().map(|t| t.executed).sum();
+            assert_eq!(executed, 40, "workers={workers}");
+            assert_eq!(tallies.len(), workers.min(items.len()));
+        }
     }
 
     #[test]
@@ -169,30 +273,21 @@ mod tests {
     }
 
     #[test]
-    fn blocked_owner_has_its_queue_stolen() {
-        // Worker 0 owns indices {0, 4, ..., 60} and blocks on grain 0
-        // until every other grain has finished — so its remaining 15
-        // grains can only complete by being stolen. Stealing is proved
-        // by thread identity (the thread that ran grain 0 spun the whole
-        // round, so no other worker-0 grain can carry its id); the
-        // global counters only get lower bounds because concurrently
-        // running tests share them. Every other grain waits for grain 0
-        // to start: otherwise, if worker 0's thread started late, the
-        // others could drain their queues and steal grain 0 itself.
+    fn blocked_grain_never_stalls_the_rest_of_the_batch() {
+        // Grain 0 is the first index claimed, and it blocks until every
+        // other grain has finished — so the other 63 can only complete
+        // on the other workers. Thread identity proves it: the thread
+        // that ran grain 0 spun the whole batch, so no other grain can
+        // carry its id. The global counters only get lower bounds
+        // because concurrently running tests share them.
         let n = 64usize;
         let workers = 4;
         let done = AtomicUsize::new(0);
-        let started = AtomicBool::new(false);
         let items: Vec<usize> = (0..n).collect();
         let before = pipeline_stats().snapshot();
         let got = run_grains(&items, workers, |&x| {
             if x == 0 {
-                started.store(true, Ordering::SeqCst);
                 while done.load(Ordering::SeqCst) < n - 1 {
-                    std::thread::yield_now();
-                }
-            } else {
-                while !started.load(Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
             }
@@ -203,19 +298,13 @@ mod tests {
         assert_eq!(values, items);
         let blocker = got[0].1;
         for (idx, tid) in &got[1..] {
-            if idx % workers == 0 {
-                assert_ne!(
-                    *tid, blocker,
-                    "grain {idx} must be stolen off the blocked worker"
-                );
-            }
+            assert_ne!(
+                *tid, blocker,
+                "grain {idx} ran on the thread blocked in grain 0"
+            );
         }
         let after = pipeline_stats().snapshot();
         assert!(after.grains_executed - before.grains_executed >= n as u64);
-        assert!(
-            after.grains_stolen - before.grains_stolen >= 15,
-            "worker 0's 15 queued grains must all be stolen"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Sweeps must be bit-identical to a serial measurement loop.
 //!
-//! Every figure measures its configurations as grains on the
-//! work-stealing scheduler ([`run_grains`]), one clone of a warmed rig
+//! Every figure measures its configurations as grains on the grain
+//! scheduler ([`run_grains`]), one clone of a warmed rig
 //! per grain; nothing about scheduling may leak into the physics. The
 //! grid below runs that path at several worker counts, on an unarmed rig
 //! and on one armed with an empty fault plan, and demands bit-for-bit

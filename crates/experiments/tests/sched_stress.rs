@@ -1,12 +1,13 @@
-//! Race and robustness tests for the work-stealing grain scheduler.
+//! Race and robustness tests for the grain scheduler.
 //!
 //! Two properties the pipeline's determinism contract rests on:
 //!
 //! 1. a worker panicking mid-grain propagates to the caller — no
-//!    deadlock, no lost lock, and the scheduler is immediately usable
-//!    again afterwards;
-//! 2. hammering `steal()` with every worker-count shape produces
-//!    bit-identical output — scheduling is invisible in the results.
+//!    deadlock, and the scheduler is immediately usable again
+//!    afterwards;
+//! 2. hammering the shared claim cursor with every worker-count shape
+//!    produces bit-identical output — scheduling is invisible in the
+//!    results.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,7 +16,7 @@ use mct_experiments::sched::run_grains;
 
 /// A deterministic, unevenly-priced grain: a few thousand logistic-map
 /// iterations whose count varies by index, so some grains are ~100x
-/// slower than others and stealing actually happens.
+/// slower than others and workers claim uneven shares of the batch.
 fn chaotic_grain(idx: usize) -> f64 {
     let iters = 100 + (idx * 7919) % 10_000;
     let mut x = 0.2 + (idx as f64) * 1e-6;
@@ -55,8 +56,8 @@ fn worker_panic_mid_grain_propagates_and_scheduler_survives() {
 
 #[test]
 fn panic_in_every_position_never_deadlocks() {
-    // Panic at the first grain a worker sees, at a stolen grain, and at
-    // the last grain: all must propagate rather than hang the join.
+    // Panic at the first grains claimed, mid-batch, and at the last
+    // grain: all must propagate rather than hang the join.
     let items: Vec<usize> = (0..64).collect();
     for &panic_at in &[0usize, 1, 31, 62, 63] {
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -70,10 +71,10 @@ fn panic_in_every_position_never_deadlocks() {
 }
 
 #[test]
-fn steal_hammer_is_bit_identical_across_worker_counts() {
-    // 512 grains, a blocked owner forcing mass stealing, repeated
-    // rounds: the output must be byte-for-byte the single-threaded
-    // answer no matter how many workers fought over the deques.
+fn claim_hammer_is_bit_identical_across_worker_counts() {
+    // 512 unevenly priced grains, repeated rounds: the output must be
+    // byte-for-byte the single-threaded answer no matter how many
+    // workers raced for the cursor.
     let n = 512usize;
     let items: Vec<usize> = (0..n).collect();
     let serial: Vec<u64> = items.iter().map(|&x| chaotic_grain(x).to_bits()).collect();
@@ -91,10 +92,10 @@ fn steal_hammer_is_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn steal_hammer_under_a_blocked_owner_stays_deterministic() {
-    // Worker 0 blocks on its first grain until everyone else finishes,
-    // so its whole queue must be stolen — the most steal-heavy schedule
-    // possible. Results must still be bit-identical to serial.
+fn claim_hammer_under_a_blocked_grain_stays_deterministic() {
+    // Grain 0 blocks its worker until everyone else finishes, so the
+    // rest of the batch runs on the other workers — the most lopsided
+    // schedule possible. Results must still be bit-identical to serial.
     let n = 256usize;
     let items: Vec<usize> = (0..n).collect();
     let serial: Vec<u64> = items.iter().map(|&x| chaotic_grain(x).to_bits()).collect();
@@ -114,7 +115,7 @@ fn steal_hammer_under_a_blocked_owner_stays_deterministic() {
         let bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
         assert_eq!(
             bits, serial,
-            "workers={workers}: stolen grains reordered output"
+            "workers={workers}: a blocked grain reordered output"
         );
     }
 }

@@ -1,5 +1,5 @@
-//! Fixture: seeded L001 violation — the steal protocol holding two
-//! deque locks at once.
+//! Fixture: seeded L001 violation — a scheduler function holding two
+//! queue locks at once.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

@@ -15,9 +15,10 @@
 //!   non-test library code of `sim`, `ml`, `core`, `telemetry`;
 //! - **F-series (float soundness):** NaN-unsafe `partial_cmp`
 //!   comparators must use `f64::total_cmp`;
-//! - **L-series (lock discipline):** no two deque locks at once inside
-//!   one function (L001), and — interprocedurally — every crate's lock
-//!   acquisition-order graph must be a DAG (L002, [`lock_order`]);
+//! - **L-series (lock discipline):** no two locks at once inside one
+//!   function of the grain scheduler (L001), and — interprocedurally —
+//!   every crate's lock acquisition-order graph must be a DAG (L002,
+//!   [`lock_order`]);
 //! - **U-series (unsafe hygiene):** every `unsafe` block is preceded by
 //!   a `// SAFETY:` comment and `unsafe`/`get_unchecked` stay inside an
 //!   audited allowlist with a validate-then-trust marker

@@ -10,8 +10,8 @@
 //!   non-test library code of `sim`, `ml`, `core`;
 //! - **F (float soundness):** no NaN-unsafe `partial_cmp` comparators —
 //!   use `f64::total_cmp`;
-//! - **L (lock discipline):** the work-stealing scheduler must never
-//!   hold two deque locks at once (L001), and the whole-crate lock
+//! - **L (lock discipline):** the grain scheduler must never hold two
+//!   locks at once (L001), and the whole-crate lock
 //!   acquisition-order graph must stay acyclic (L002, in
 //!   [`crate::lock_order`]);
 //! - **U (unsafe hygiene):** every `unsafe` block carries a `// SAFETY:`
@@ -88,8 +88,8 @@ pub const LINTS: &[LintInfo] = &[
     LintInfo {
         id: "L001",
         name: "nested-lock",
-        summary: "second .lock() taken while another guard is live in the steal \
-                  protocol; two deque locks at once can deadlock",
+        summary: "second .lock() taken while another guard is live in the grain \
+                  scheduler; two locks at once can deadlock",
     },
     LintInfo {
         id: "L002",
@@ -176,7 +176,7 @@ pub struct FileScope {
     /// `crates/persist/src`, which must surface corruption as typed
     /// errors, never a panic).
     pub panic_guarded: bool,
-    /// L001 scope: the work-stealing scheduler.
+    /// L001 scope: the grain scheduler.
     pub lock_guarded: bool,
     /// S002 scope: result-producing crates (`sim`, `ml`, `core`,
     /// `experiments`, `persist`) where accumulation order reaches
@@ -198,15 +198,13 @@ impl FileScope {
                 || in_dir("crates/persist/src/"),
             wall_clock_allowed: in_dir("crates/telemetry/")
                 || in_dir("crates/bench/")
-                || path == "crates/experiments/src/sched.rs"
-                || path == "crates/experiments/src/par.rs",
+                || path == "crates/experiments/src/sched.rs",
             panic_guarded: in_dir("crates/sim/src/")
                 || in_dir("crates/ml/src/")
                 || in_dir("crates/core/src/")
                 || in_dir("crates/telemetry/src/")
                 || in_dir("crates/persist/src/"),
-            lock_guarded: path == "crates/experiments/src/sched.rs"
-                || path == "crates/experiments/src/par.rs",
+            lock_guarded: path == "crates/experiments/src/sched.rs",
             accum_guarded: in_dir("crates/sim/src/")
                 || in_dir("crates/ml/src/")
                 || in_dir("crates/core/src/")
@@ -567,8 +565,8 @@ fn lock_lints(toks: &[Tok<'_>], out: &mut Vec<RawViolation>) {
                 out.push(RawViolation {
                     line: t.line,
                     lint: "L001",
-                    message: "second .lock() while another guard is live; the steal \
-                              protocol must never hold two deque locks at once"
+                    message: "second .lock() while another guard is live; the grain \
+                              scheduler must never hold two locks at once"
                         .to_string(),
                 });
             }
@@ -626,7 +624,6 @@ mod tests {
         assert_eq!(check("crates/core/src/controller.rs", src)[0].lint, "D002");
         assert!(check("crates/telemetry/src/registry.rs", src).is_empty());
         assert!(check("crates/experiments/src/sched.rs", src).is_empty());
-        assert!(check("crates/experiments/src/par.rs", src).is_empty());
         assert!(check("crates/bench/src/bin/hotpath.rs", src).is_empty());
     }
 
@@ -718,14 +715,12 @@ mod tests {
         let src = "fn f() { let a = q[0].lock().unwrap(); let b = q[1].lock().unwrap(); }\n";
         let got = check("crates/experiments/src/sched.rs", src);
         assert!(got.iter().any(|v| v.lint == "L001"), "{got:?}");
-        let got = check("crates/experiments/src/par.rs", src);
-        assert!(got.iter().any(|v| v.lint == "L001"), "{got:?}");
     }
 
     #[test]
     fn inner_block_guard_then_second_lock_passes() {
-        // The real steal() shape: victim guard confined to an inner
-        // block, own-queue lock taken after it drops.
+        // A guard confined to an inner block, the second lock taken
+        // after it drops.
         let src = "fn steal() {\n    let mut batch = {\n        let mut q = queues[victim].lock().expect(\"q\");\n        q.split_off(keep)\n    };\n    queues[me].lock().expect(\"q\").append(&mut batch);\n}\n";
         let got = check("crates/experiments/src/sched.rs", src);
         assert!(got.is_empty(), "{got:?}");

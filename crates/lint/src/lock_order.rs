@@ -20,7 +20,7 @@
 //!    same-class double acquisition — is reported at every edge inside
 //!    the component. A clean run proves every crate's lock acquisition
 //!    order is a DAG, which is the classical no-deadlock argument for
-//!    the steal protocol and the poison-recovering telemetry locks.
+//!    the poison-recovering telemetry and cache locks.
 //!
 //! A *lock class* is the lexical receiver of the `.lock()` call: the
 //! nearest identifier once index/call groups are skipped, so
@@ -584,8 +584,8 @@ fn b(l: &M) { let g = right.lock().unwrap(); let h = left.lock().unwrap(); }\n";
 
     #[test]
     fn dropped_guard_before_second_lock_is_clean() {
-        // The real steal() shape: victim guard confined to an inner
-        // block, own-queue lock after it drops — same class, no edge.
+        // A victim guard confined to an inner block, the own-queue lock
+        // after it drops — same class, no edge.
         let src = "\
 fn steal(queues: &[M], me: usize, victim: usize) {\n\
     let mut batch = {\n\

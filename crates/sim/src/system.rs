@@ -121,11 +121,7 @@ impl System {
     /// Run until at least `insts` instructions retire; returns the stats
     /// for the whole run so far (cumulative since construction).
     pub fn run<S: AccessSource>(&mut self, source: &mut S, insts: u64) -> RunStats {
-        let target = self.cpu.instructions() + insts;
-        while self.cpu.instructions() < target {
-            let ev = source.next_access();
-            self.cpu.process(ev, &mut self.llc, &mut self.mem);
-        }
+        self.run_window(source, insts);
         self.finalize()
     }
 

@@ -16,7 +16,7 @@
 //!   (transitions per kind, fallbacks, span durations), with bounded
 //!   label cardinality;
 //! - [`pipeline`]: the experiment pipeline's one process-wide
-//!   [`Registry`] — scheduler grains (executed/stolen, per-worker
+//!   [`Registry`] — scheduler grains (executed, per-worker
 //!   series), measurement-cache hits and discards, and warm-rig snapshot
 //!   reuse — with a typed read view;
 //! - [`recorder`]: the sinks — [`NullRecorder`] (the default; disabled
