@@ -1,8 +1,9 @@
 //! Release-mode suite for the fit paths' bit-level contracts.
 //!
-//! The hierarchical fit is pinned to blessed `to_bits()` weights and
-//! predictions: the design matrix's layout and the gradient buffer's
-//! reuse must not change a single bit. The rest pins the degenerate
+//! The hierarchical fit and the quad-lasso fit are pinned to blessed
+//! `to_bits()` weights and predictions: the design matrix's layout, the
+//! gradient buffer's reuse and the lasso solver's column layout must not
+//! change a single bit. The rest pins the degenerate
 //! shapes a controller segment can hand the learners (zero rows, a single
 //! row, a constant target, a constant feature column) on the solvers the
 //! controller, Table 6 and Figure 4 actually run: `GradientBoosting` and
@@ -12,8 +13,8 @@
 //! not change the bits either.
 
 use mct_ml::{
-    Dataset, GradientBoosting, GradientBoostingParams, HierarchicalPredictor, LassoRegression,
-    Regressor,
+    quadratic_expand, Dataset, GradientBoosting, GradientBoostingParams, HierarchicalPredictor,
+    LassoRegression, Regressor,
 };
 
 /// Penalties around the controller's fixed lambdas (0.01 for the
@@ -90,6 +91,176 @@ const HIER_PREDS: [u64; 4] = [
     0x400d647b337823b8,
     0x4008247e8c32a251,
     0x4005774d45f477d3,
+];
+
+/// A quad-expanded dataset of `n` rows: ten smooth, correlated knobs
+/// expanded to 65 features (the Figure 2 shape, p > n for every `n`
+/// pinned here), with a target that depends on a handful of linear,
+/// square and cross terms plus a deterministic ripple.
+fn quad_dataset(n: usize) -> Dataset {
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            let t = i as f64;
+            let base: Vec<f64> = (0..10)
+                .map(|k| {
+                    let k = k as f64;
+                    ((t * (0.37 + 0.11 * k)).sin() + 0.25 * ((t + k) % 5.0)) * (1.0 + 0.2 * k)
+                })
+                .collect();
+            quadratic_expand(&base)
+        })
+        .collect();
+    let y = rows
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            1.5 + 0.8 * r[0] - 0.6 * r[3] + 0.3 * r[12] - 0.4 * r[25]
+                + 0.05 * (i as f64 * 1.7).cos()
+        })
+        .collect();
+    Dataset::from_rows(rows, y)
+}
+
+/// FNV-1a over the little-endian bits of `vals`: one word pins a whole
+/// weight vector.
+fn bits_digest(vals: &[f64]) -> u64 {
+    vals.iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn quad_lasso_fit_matches_blessed_bits() {
+    let mut got = Vec::new();
+    for (n, lambda) in LASSO_CASES {
+        let data = quad_dataset(n);
+        assert_eq!(data.rows()[0].len(), 65);
+        let mut model = LassoRegression::new(lambda);
+        model.fit(&data);
+        let support = model.selected_features(0.0).len();
+        assert!(
+            (1..65).contains(&support),
+            "n={n} lambda={lambda}: degenerate support {support}"
+        );
+        // Eight probes: four training rows and four rows past them.
+        let probes = quad_dataset(n + 4);
+        let preds: Vec<u64> = [0, n / 3, n / 2, n - 1, n, n + 1, n + 2, n + 3]
+            .iter()
+            .map(|&i| model.predict(&probes.rows()[i]).to_bits())
+            .collect();
+        got.push((
+            bits_digest(model.weights()),
+            model.intercept().to_bits(),
+            preds,
+        ));
+    }
+    let want: Vec<(u64, u64, Vec<u64>)> = LASSO_BITS
+        .iter()
+        .map(|(w, b, p)| (*w, *b, p.to_vec()))
+        .collect();
+    assert_eq!(got, want, "blessed quad-lasso bits moved");
+}
+
+/// (rows, lambda) of each pinned lasso fit: the controller's quad-lasso
+/// penalty and the feature-selection penalty, from just above p/7 rows
+/// to the 40-row sampling budget.
+const LASSO_CASES: [(usize, f64); 6] = [
+    (10, 0.01),
+    (10, 0.002),
+    (24, 0.01),
+    (24, 0.002),
+    (40, 0.01),
+    (40, 0.002),
+];
+
+/// Pinned lasso bits per case: (weights digest, intercept, predictions).
+const LASSO_BITS: [(u64, u64, [u64; 8]); 6] = [
+    (
+        0x8afdd45ce3323f6e,
+        0x3ffdb6ff7dda5e20,
+        [
+            0x3ff014db71e9140e,
+            0x3febe027704c032c,
+            0x400575864b2fa3b4,
+            0x3ffb1ae0424feffe,
+            0x3fd73bccdfc6bc9c,
+            0x3fe849248a1f9f88,
+            0x3ffcc0a6b31ce92a,
+            0x3fee34af37ea419e,
+        ],
+    ),
+    (
+        0x5ceaa149d09e2e7e,
+        0x3ffdb6ff7dda5e20,
+        [
+            0x3fef7c64d0fcca9c,
+            0x3fea48064456956a,
+            0x40057cbe843735c6,
+            0x3ffb1242e97723dc,
+            0xbfd944d678bc98a8,
+            0xbfe5a91590c0f8ac,
+            0x3ff4f60bda636358,
+            0x3ff005fd11fb4226,
+        ],
+    ),
+    (
+        0x2812f37a0096a4b3,
+        0x3ffa3c1d64d165d8,
+        [
+            0x3fee3b648358050a,
+            0x3ffa44834034acfc,
+            0x4001fe200822923b,
+            0x400a0d7ccb4a5f13,
+            0x4011cc11341be7fd,
+            0x40055f08c7265ca4,
+            0x3ffce9e9adaf89cb,
+            0x3ffd3f6b9a136510,
+        ],
+    ),
+    (
+        0x2cc0ca7677683664,
+        0x3ffa3c1d64d165d8,
+        [
+            0x3fee8c553ed87273,
+            0x3ffa4e2adb349c91,
+            0x400217e6276a5494,
+            0x400a401f3e554ef1,
+            0x4011ba54e1ae09c0,
+            0x40053b1d476bfc60,
+            0x3ffca65a81674207,
+            0x3ffd258fed803f06,
+        ],
+    ),
+    (
+        0xfca0283625bb97e2,
+        0x3ffa8a315d1daa45,
+        [
+            0x3fee664b306e0476,
+            0x3ffb2294ce0b5f58,
+            0xbfd9eed773c6e8e4,
+            0x3fed5d9660b75f27,
+            0x3ff5e600acbee4b5,
+            0x3ffdf7d5f1c45a33,
+            0x400893cfc6cf02b8,
+            0x40006d6bf59db752,
+        ],
+    ),
+    (
+        0xec3db9ec2e898a7c,
+        0x3ffa8a315d1daa45,
+        [
+            0x3feea32cac154d8d,
+            0x3ffa936dcb5dc038,
+            0xbfdbc4608f8d96c4,
+            0x3fed836a14075892,
+            0x3ff62bc0a049cad2,
+            0x3ffde9ed5b769e4c,
+            0x4008a0a2b572feca,
+            0x40001dc153e36755,
+        ],
+    ),
 ];
 
 // --- Degenerate fits: the shapes a controller segment can hand us. ---
