@@ -31,6 +31,12 @@
 //! [`DerivedStore`]: arbitrary serde values keyed by a label + the
 //! parameters that determine them.
 //!
+//! Work that is not a sweep grain — Figures 7–9's controller runs,
+//! Figure 10's mix units, the extension study's grains — goes through
+//! one batch lookup on either shard type, [`Store::get_or_compute_many`]:
+//! its misses run as one scheduler round, so Figures 7–10 and the
+//! extensions run on the pool rather than the caller's thread.
+//!
 //! A shard has one writer: the process-wide pools give each shard one
 //! handle per process, and two processes must not write to one data dir
 //! at the same time.
@@ -275,24 +281,81 @@ impl DerivedStore {
     pub fn record<T: Serialize>(&self, key: u64, value: &T) {
         self.insert(key, value.serialize_content());
     }
+}
 
-    /// Serve `key` from the cache or compute, record, and return it.
-    /// Both paths feed the pipeline hit rate: a hit counts as a cache
-    /// hit, a compute as an executed grain, so `hits + executed` equals
-    /// requests across grain and derived stores alike.
-    pub fn get_or_compute<T, F>(&self, key: u64, compute: F) -> T
+/// How a shard serves and records values of type `T`: grain shards hold
+/// [`Metrics`] bit for bit, derived shards any serde value.
+pub trait Cached<T> {
+    /// The cached value for `key`, if present and decodable.
+    fn fetch(&self, key: u64) -> Option<T>;
+    /// Append a freshly computed value.
+    fn put(&self, key: u64, value: &T);
+}
+
+impl Cached<Metrics> for GrainStore {
+    fn fetch(&self, key: u64) -> Option<Metrics> {
+        self.get(key)
+    }
+    fn put(&self, key: u64, value: &Metrics) {
+        self.record(key, *value);
+    }
+}
+
+impl<T: Serialize + Deserialize> Cached<T> for DerivedStore {
+    fn fetch(&self, key: u64) -> Option<T> {
+        self.get_as(key)
+    }
+    fn put(&self, key: u64, value: &T) {
+        self.record(key, value);
+    }
+}
+
+impl<V: Serialize + Deserialize + Clone> Store<V> {
+    /// Serve each `(key, unit)` from the shard, or compute it: every key
+    /// is looked up first, then the misses run as one scheduler round
+    /// ([`crate::sched::run_grains`]) and each fresh value is recorded as
+    /// its grain completes, so a killed run keeps what finished. Results
+    /// come back in input order.
+    ///
+    /// A hit counts as a cache hit and a computed unit as an executed
+    /// grain, so `hits + executed` equals requests across grain and
+    /// derived shards alike. A key repeated within the batch is computed
+    /// once and its repeats count as hits, as they would one call at a
+    /// time. When every key hits, no round runs and no thread starts.
+    ///
+    /// # Panics
+    /// Propagates a panic from `compute`; panics on an unwritable shard.
+    pub fn get_or_compute_many<U, T, F>(&self, units: &[(u64, U)], compute: F) -> Vec<T>
     where
-        T: Serialize + Deserialize,
-        F: FnOnce() -> T,
+        Self: Cached<T> + Sync,
+        U: Sync,
+        T: Clone + Send,
+        F: Fn(&U) -> T + Sync,
     {
-        if let Some(v) = self.get_as::<T>(key) {
-            pipeline_stats().add("pipeline.cache_hits", 1);
-            return v;
+        let mut hits = 0u64;
+        let mut misses: Vec<&(u64, U)> = Vec::new();
+        let mut scheduled = std::collections::HashSet::new();
+        let mut out: Vec<Option<T>> = Vec::with_capacity(units.len());
+        for unit in units {
+            let hit = self.fetch(unit.0);
+            if hit.is_some() || !scheduled.insert(unit.0) {
+                hits += 1;
+            } else {
+                misses.push(unit);
+            }
+            out.push(hit);
         }
-        let v = compute();
-        pipeline_stats().add("pipeline.grains_executed", 1);
-        self.record(key, &v);
-        v
+        pipeline_stats().add("pipeline.cache_hits", hits);
+        let fresh = run_grains(&misses, default_workers(), |(key, unit)| {
+            let v = compute(unit);
+            self.put(*key, &v);
+            v
+        });
+        let fresh: HashMap<u64, T> = misses.iter().map(|(key, _)| *key).zip(fresh).collect();
+        out.into_iter()
+            .zip(units)
+            .map(|(hit, (key, _))| hit.unwrap_or_else(|| fresh[key].clone()))
+            .collect()
     }
 }
 
@@ -530,38 +593,6 @@ pub fn load_or_compute_sweep(
     .expect("one dataset per request")
 }
 
-/// Serve one measurement grain from `store` or run `measure`, recording
-/// the fresh result. The hit/executed counters feed the pipeline
-/// cache-hit rate; use this for one-off deployment measurements that do
-/// not warrant a scheduler round.
-pub fn cached_measurement(
-    store: &GrainStore,
-    key: u64,
-    measure: impl FnOnce() -> Metrics,
-) -> Metrics {
-    let stats = pipeline_stats();
-    if let Some(m) = store.get(key) {
-        stats.add("pipeline.cache_hits", 1);
-        return m;
-    }
-    let m = measure();
-    stats.add("pipeline.grains_executed", 1);
-    store.record(key, m);
-    m
-}
-
-/// Measure one (workload × config) grain at the scale's budget through
-/// the cache and the shared rig pool.
-#[must_use]
-pub fn cached_measure(workload: Workload, cfg: &NvmConfig, scale: Scale, seed: u64) -> Metrics {
-    let budget = workload.detailed_insts(scale.detailed_factor());
-    let store = grain_store(workload, scale, seed);
-    let key = grain_key(workload, seed, budget, cfg);
-    cached_measurement(&store, key, || {
-        shared_rig(workload, seed, budget).rig().measure(cfg)
-    })
-}
-
 /// Apply the scale's stride to a configuration list, always retaining the
 /// anchor configurations (default + static baseline variants) so every
 /// figure can reference them.
@@ -709,11 +740,40 @@ mod tests {
         assert_ne!(key, derived_key("mix/other", 9, &[1.0, 2.5]));
         {
             let store = DerivedStore::open(dir.clone());
-            let v: Vec<f64> = store.get_or_compute(key, || vec![1.0, 2.0, 3.0]);
-            assert_eq!(v, vec![1.0, 2.0, 3.0]);
+            let v: Vec<Vec<f64>> =
+                store.get_or_compute_many(&[(key, ())], |()| vec![1.0, 2.0, 3.0]);
+            assert_eq!(v, vec![vec![1.0, 2.0, 3.0]]);
         }
         let store = DerivedStore::open(dir);
-        let v: Vec<f64> = store.get_or_compute(key, || panic!("must be served from disk"));
-        assert_eq!(v, vec![1.0, 2.0, 3.0]);
+        let v: Vec<Vec<f64>> =
+            store.get_or_compute_many(&[(key, ())], |()| panic!("must be served from disk"));
+        assert_eq!(v, vec![vec![1.0, 2.0, 3.0]]);
+    }
+
+    #[test]
+    fn batch_serves_hits_and_misses_in_input_order() {
+        let tmp = mct_persist::TempDir::new("mct-derived-batch");
+        let store = DerivedStore::open(tmp.join("derived_batch"));
+        let key = |i: u64| derived_key("batch", 1, &[i as f64]);
+        // Odd units are cached up front; the batch repeats unit 4.
+        for i in [1u64, 3, 5] {
+            store.record(key(i), &(i * 100));
+        }
+        let units: Vec<(u64, u64)> = [0u64, 1, 2, 3, 4, 5, 4]
+            .iter()
+            .map(|&i| (key(i), i))
+            .collect();
+        let computed = std::sync::Mutex::new(Vec::new());
+        let got: Vec<u64> = store.get_or_compute_many(&units, |&i| {
+            computed.lock().expect("computed").push(i);
+            i * 100
+        });
+        assert_eq!(got, vec![0, 100, 200, 300, 400, 500, 400]);
+        let mut computed = computed.into_inner().expect("computed");
+        computed.sort_unstable();
+        assert_eq!(computed, vec![0, 2, 4], "each miss computed once");
+        // Everything hits now: the compute is never reached.
+        let again: Vec<u64> = store.get_or_compute_many(&units, |_| panic!("all cached"));
+        assert_eq!(again, got);
     }
 }

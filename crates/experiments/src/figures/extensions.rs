@@ -20,7 +20,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::cache::{cached_measurement, grain_store, vector_grain_key};
+use crate::cache::{grain_store, vector_grain_key};
 use crate::report::Table;
 use crate::runner::{shared_rig, EXPERIMENT_SEED};
 use crate::scale::Scale;
@@ -31,18 +31,22 @@ fn ext_budget(w: Workload, scale: Scale) -> u64 {
     w.detailed_insts(scale.detailed_factor() * 0.7)
 }
 
-/// Measure one extended configuration through the grain cache and the
-/// shared warm-rig pool. Extended vectors are 13-dim, so their grain
-/// keys can never collide with paper-space (7-dim) grains.
-fn measure_ext(w: Workload, scale: Scale, cfg: &ExtendedNvmConfig) -> Metrics {
+/// Measure extended configurations of `w` as one batch through the
+/// grain cache and the shared warm-rig pool, results in input order.
+/// Extended vectors are 13-dim, so their grain keys can never collide
+/// with paper-space (7-dim) grains.
+fn measure_ext(w: Workload, scale: Scale, cfgs: &[ExtendedNvmConfig]) -> Vec<Metrics> {
     let budget = ext_budget(w, scale);
-    let store = grain_store(w, scale, EXPERIMENT_SEED);
-    let key = vector_grain_key(w, EXPERIMENT_SEED, budget, &cfg.to_vector());
-    cached_measurement(&store, key, || {
-        shared_rig(w, EXPERIMENT_SEED, budget)
-            .rig()
-            .measure_policy(cfg.to_policy())
-    })
+    let units: Vec<(u64, ExtendedNvmConfig)> = cfgs
+        .iter()
+        .map(|c| {
+            let key = vector_grain_key(w, EXPERIMENT_SEED, budget, &c.to_vector());
+            (key, *c)
+        })
+        .collect();
+    let rig = shared_rig(w, EXPERIMENT_SEED, budget);
+    grain_store(w, scale, EXPERIMENT_SEED)
+        .get_or_compute_many(&units, |cfg| rig.rig().measure_policy(cfg.to_policy()))
 }
 
 fn tradeoff_curves(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
@@ -54,13 +58,16 @@ fn tradeoff_curves(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
     // refs [24][53] apply it selectively per data lifetime, and exactly
     // the kind of losing technique MCT must learn to leave disabled.
     let mut t = Table::new(["bwaves / retention speedup", "ipc", "lifetime_y"]);
-    for speedup in [None, Some(0.75), Some(0.625), Some(0.5)] {
-        let cfg = ExtendedNvmConfig {
-            base: NvmConfig::default_config(),
-            retention_speedup: speedup,
-            turbo: None,
-        };
-        let m = measure_ext(Workload::Bwaves, scale, &cfg);
+    let speedups = [None, Some(0.75), Some(0.625), Some(0.5)];
+    let cfgs = speedups.map(|retention_speedup| ExtendedNvmConfig {
+        base: NvmConfig::default_config(),
+        retention_speedup,
+        turbo: None,
+    });
+    for (speedup, m) in speedups
+        .iter()
+        .zip(measure_ext(Workload::Bwaves, scale, &cfgs))
+    {
         t.row([
             speedup.map_or("off".to_string(), |s| format!("{s:.3}")),
             format!("{:.3}", m.ipc),
@@ -75,13 +82,13 @@ fn tradeoff_curves(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 
     // Turbo reads on a read-heavy workload.
     let mut t = Table::new(["milc / turbo (speedup, thresh)", "ipc", "lifetime_y"]);
-    for turbo in [None, Some((0.7, 128)), Some((0.7, 32)), Some((0.5, 32))] {
-        let cfg = ExtendedNvmConfig {
-            base: NvmConfig::default_config(),
-            retention_speedup: None,
-            turbo,
-        };
-        let m = measure_ext(Workload::Milc, scale, &cfg);
+    let turbos = [None, Some((0.7, 128)), Some((0.7, 32)), Some((0.5, 32))];
+    let cfgs = turbos.map(|turbo| ExtendedNvmConfig {
+        base: NvmConfig::default_config(),
+        retention_speedup: None,
+        turbo,
+    });
+    for (turbo, m) in turbos.iter().zip(measure_ext(Workload::Milc, scale, &cfgs)) {
         t.row([
             turbo.map_or("off".to_string(), |(s, th)| format!("({s:.1}, {th})")),
             format!("{:.3}", m.ipc),
@@ -112,7 +119,8 @@ fn mct_over_extended_space(scale: Scale, out: &mut dyn Write) -> io::Result<()> 
     samples.truncate(64);
     let measured: Vec<(ExtendedNvmConfig, Metrics)> = samples
         .iter()
-        .map(|c| (*c, measure_ext(workload, scale, c)))
+        .copied()
+        .zip(measure_ext(workload, scale, &samples))
         .collect();
 
     // Fit one GBRT per objective on the 13-dim extended vectors.
@@ -148,17 +156,24 @@ fn mct_over_extended_space(scale: Scale, out: &mut dyn Write) -> io::Result<()> 
         return Ok(());
     };
     let chosen = space[best];
-    let measured_choice = measure_ext(workload, scale, &chosen);
 
     // Reference: the best *paper-space* configuration among the sampled
-    // plain configs (extensions off).
-    let plain_best = space
+    // plain configs (extensions off), measured in one batch behind the
+    // choice.
+    let mut batch = vec![chosen];
+    batch.extend(
+        space
+            .iter()
+            .filter(|c| c.retention_speedup.is_none() && c.turbo.is_none()),
+    );
+    let batch_metrics = measure_ext(workload, scale, &batch);
+    let measured_choice = batch_metrics[0];
+    let plain_best = batch[1..]
         .iter()
-        .filter(|c| c.retention_speedup.is_none() && c.turbo.is_none())
-        .map(|c| (c, measure_ext(workload, scale, c)))
+        .zip(&batch_metrics[1..])
         .filter(|(_, m)| m.lifetime_years >= 8.0)
         .max_by(|a, b| a.1.ipc.total_cmp(&b.1.ipc))
-        .map(|(c, m)| (*c, m));
+        .map(|(c, m)| (*c, *m));
 
     let mut t = Table::new(["selection", "config", "ipc", "lifetime_y"]);
     t.row([

@@ -9,36 +9,14 @@
 use std::io::{self, Write};
 
 use mct_core::{ModelKind, NvmConfig, Objective};
-use mct_sim::stats::Metrics;
 use mct_workloads::Workload;
 
-use crate::cache::{cached_measure, load_or_compute_sweeps, strided_configs, SweepRequest};
-use crate::figures::{cached_mct_outcome, geomean};
+use crate::cache::{load_or_compute_sweeps, strided_configs, SweepRequest};
+use crate::figures::{cached_mct_outcomes, geomean, MctRun};
 use crate::ideal::ideal_for;
 use crate::report::{config_table_header, config_table_row, Table};
 use crate::runner::EXPERIMENT_SEED;
 use crate::scale::Scale;
-
-/// Run the MCT controller (through the derived-result cache) and measure
-/// the *deployment* of its chosen configuration with the same
-/// long-window methodology as the default/static/ideal references (the
-/// paper's testing period is 2B instructions — long enough that
-/// short-window drain artifacts vanish; our scaled windows are not, so
-/// the deployed choice is re-measured on the shared rig; the
-/// runtime-overhead story lives in figure9).
-fn run_mct(w: Workload, kind: ModelKind, scale: Scale) -> (Metrics, NvmConfig, f64) {
-    let outcome = cached_mct_outcome(
-        w,
-        kind,
-        scale.controller_insts(),
-        8.0,
-        scale,
-        EXPERIMENT_SEED,
-    );
-    let deployed = cached_measure(w, &outcome.chosen_config, scale, EXPERIMENT_SEED);
-    let epi = deployed.energy_j / w.detailed_insts(scale.detailed_factor()) as f64;
-    (deployed, outcome.chosen_config, epi)
-}
 
 /// Render Figure 7 and Table 10.
 pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
@@ -73,6 +51,36 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         .collect();
     let datasets = load_or_compute_sweeps(&requests, scale, EXPERIMENT_SEED);
 
+    // Both learners' controller runs for every workload, as one batch.
+    const KINDS: [ModelKind; 2] = [ModelKind::GradientBoosting, ModelKind::QuadraticLasso];
+    let runs: Vec<MctRun> = Workload::all()
+        .into_iter()
+        .flat_map(|workload| {
+            KINDS.map(|kind| MctRun {
+                workload,
+                kind,
+                total_insts: scale.controller_insts(),
+                target_years: 8.0,
+            })
+        })
+        .collect();
+    let outcomes = cached_mct_outcomes(&runs, scale, EXPERIMENT_SEED);
+    // The *deployment* of each chosen configuration is measured with the
+    // same long-window methodology as the default/static/ideal references
+    // (the paper's testing period is 2B instructions — long enough that
+    // short-window drain artifacts vanish; our scaled windows are not, so
+    // the deployed choice is re-measured on the shared rig; the
+    // runtime-overhead story lives in figure9).
+    let deploy_requests: Vec<SweepRequest> = Workload::all()
+        .into_iter()
+        .zip(outcomes.chunks(KINDS.len()))
+        .map(|(workload, pair)| SweepRequest {
+            workload,
+            configs: pair.iter().map(|o| o.chosen_config).collect(),
+        })
+        .collect();
+    let deployed = load_or_compute_sweeps(&deploy_requests, scale, EXPERIMENT_SEED);
+
     let mut gb_vs_static_ipc = Vec::new();
     let mut gb_vs_static_energy = Vec::new();
     let mut gb_vs_ideal_ipc = Vec::new();
@@ -81,7 +89,7 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
     let mut ql_vs_static_energy = Vec::new();
     let mut gb_lifetimes_ok = 0;
 
-    for (w, ds) in Workload::all().into_iter().zip(&datasets) {
+    for ((w, ds), deploy) in Workload::all().into_iter().zip(&datasets).zip(&deployed) {
         let sweep_insts = w.detailed_insts(scale.detailed_factor()) as f64;
         let def = ds
             .metrics_of(&NvmConfig::default_config())
@@ -90,8 +98,9 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
             .metrics_of(&NvmConfig::static_baseline())
             .expect("static");
         let ideal = ideal_for(ds, &objective);
-        let (gb, gb_cfg, gb_epi) = run_mct(w, ModelKind::GradientBoosting, scale);
-        let (ql, _, ql_epi) = run_mct(w, ModelKind::QuadraticLasso, scale);
+        let (gb, ql) = (deploy.metrics[0], deploy.metrics[1]);
+        let gb_epi = gb.energy_j / sweep_insts;
+        let ql_epi = ql.energy_j / sweep_insts;
         let stat_epi = stat.energy_j / sweep_insts;
         let ideal_epi = ideal.metrics.energy_j / sweep_insts;
 
@@ -107,7 +116,7 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
             format!("{:.3}", gb_epi * 1e9),
             format!("{:.3}", ideal_epi * 1e9),
         ]);
-        table10.row(config_table_row(w.name(), &gb_cfg));
+        table10.row(config_table_row(w.name(), &deploy.configs[0]));
 
         gb_vs_static_ipc.push(gb.ipc / stat.ipc);
         // Energy is compared per instruction: window lengths differ

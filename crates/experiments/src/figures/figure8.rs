@@ -11,12 +11,14 @@ use std::io::{self, Write};
 use mct_core::{ConfigSpace, ModelKind, Objective};
 use mct_workloads::Workload;
 
-use crate::cache::{cached_measure, load_or_compute_sweeps, strided_configs, SweepRequest};
-use crate::figures::cached_mct_outcome;
+use crate::cache::{load_or_compute_sweeps, strided_configs, SweepRequest};
+use crate::figures::{cached_mct_outcomes, MctRun};
 use crate::ideal::ideal_for;
 use crate::report::Table;
 use crate::runner::EXPERIMENT_SEED;
 use crate::scale::Scale;
+
+const TARGETS: [f64; 4] = [4.0, 6.0, 8.0, 10.0];
 
 const WORKLOADS: [Workload; 4] = [
     Workload::Lbm,
@@ -43,7 +45,31 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         .collect();
     let datasets = load_or_compute_sweeps(&requests, scale, EXPERIMENT_SEED);
 
-    for (w, ds) in WORKLOADS.into_iter().zip(&datasets) {
+    // Every (workload, target) controller run as one batch, then their
+    // deployment re-measures on the shared rigs (see figure7) as another.
+    let runs: Vec<MctRun> = WORKLOADS
+        .into_iter()
+        .flat_map(|workload| {
+            TARGETS.map(|target_years| MctRun {
+                workload,
+                kind: ModelKind::GradientBoosting,
+                total_insts: scale.controller_insts() / 2,
+                target_years,
+            })
+        })
+        .collect();
+    let outcomes = cached_mct_outcomes(&runs, scale, EXPERIMENT_SEED);
+    let deploy_requests: Vec<SweepRequest> = WORKLOADS
+        .into_iter()
+        .zip(outcomes.chunks(TARGETS.len()))
+        .map(|(workload, per_target)| SweepRequest {
+            workload,
+            configs: per_target.iter().map(|o| o.chosen_config).collect(),
+        })
+        .collect();
+    let deployed = load_or_compute_sweeps(&deploy_requests, scale, EXPERIMENT_SEED);
+
+    for ((w, ds), deploy) in WORKLOADS.into_iter().zip(&datasets).zip(&deployed) {
         let mut table = Table::new([
             "target",
             "mct ipc",
@@ -52,18 +78,8 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
             "ideal life",
             "mct/ideal ipc",
         ]);
-        for target in [4.0, 6.0, 8.0, 10.0] {
+        for (target, m) in TARGETS.into_iter().zip(&deploy.metrics) {
             let ideal = ideal_for(ds, &Objective::paper_default(target));
-            let outcome = cached_mct_outcome(
-                w,
-                ModelKind::GradientBoosting,
-                scale.controller_insts() / 2,
-                target,
-                scale,
-                EXPERIMENT_SEED,
-            );
-            // Deployment measurement on the shared rig (see figure7).
-            let m = cached_measure(w, &outcome.chosen_config, scale, EXPERIMENT_SEED);
             table.row([
                 format!("{target:.0}y"),
                 format!("{:.3}", m.ipc),

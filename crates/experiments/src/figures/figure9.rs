@@ -7,7 +7,7 @@ use mct_core::{ModelKind, NvmConfig};
 use mct_workloads::Workload;
 
 use crate::cache::{load_or_compute_sweeps, strided_configs, SweepRequest};
-use crate::figures::{cached_mct_outcome, geomean};
+use crate::figures::{cached_mct_outcomes, geomean, MctRun};
 use crate::report::Table;
 use crate::runner::EXPERIMENT_SEED;
 use crate::scale::Scale;
@@ -28,6 +28,18 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         })
         .collect();
     let datasets = load_or_compute_sweeps(&requests, scale, EXPERIMENT_SEED);
+    // The identical controller runs figure7 caches: same model, budget,
+    // target, and seed — so one execution serves both.
+    let runs: Vec<MctRun> = Workload::all()
+        .into_iter()
+        .map(|workload| MctRun {
+            workload,
+            kind: ModelKind::GradientBoosting,
+            total_insts: scale.controller_insts(),
+            target_years: 8.0,
+        })
+        .collect();
+    let mct_outcomes = cached_mct_outcomes(&runs, scale, EXPERIMENT_SEED);
 
     let mut fig9a = Table::new([
         "workload",
@@ -39,23 +51,12 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
     let mut outcomes = Vec::new();
     let mut ipc_ratios_sampling = Vec::new();
     let mut ipc_ratios_testing = Vec::new();
-    for (w, ds) in Workload::all().into_iter().zip(&datasets) {
+    for ((w, ds), outcome) in Workload::all().into_iter().zip(&datasets).zip(mct_outcomes) {
         let sweep_insts = w.detailed_insts(scale.detailed_factor()) as f64;
         let stat = ds
             .metrics_of(&NvmConfig::static_baseline())
             .expect("static");
         let stat_epi = stat.energy_j / sweep_insts;
-
-        // The identical controller run figure7 caches: same model,
-        // budget, target, and seed — so one execution serves both.
-        let outcome = cached_mct_outcome(
-            w,
-            ModelKind::GradientBoosting,
-            scale.controller_insts(),
-            8.0,
-            scale,
-            EXPERIMENT_SEED,
-        );
 
         let sampling_epi = outcome.sampling_metrics.energy_j / outcome.sampling_insts.max(1) as f64;
         let testing_epi = outcome.final_metrics.energy_j / outcome.testing_insts.max(1) as f64;

@@ -8,6 +8,16 @@
 //! ([`crate::runner::shared_rig`]), the same grain/derived caches
 //! ([`crate::cache`]), and the same grain scheduler
 //! ([`crate::sched`]), none of which survive a process boundary.
+//!
+//! A stage lists its units of work first and renders after: sweep
+//! grains go through [`crate::cache::load_or_compute_sweeps`], and
+//! everything else a figure computes — Figures 7–9's controller runs,
+//! Figures 7–8's deployment re-measures, Figure 10's mix units and the
+//! extension grains — through one batch lookup
+//! ([`crate::cache::Store::get_or_compute_many`]) whose misses run on
+//! the grain pool. Figure 10's mix units are batches of one: each
+//! unit's 32-sample round takes the whole pool, and no two 8 MB mix
+//! LLCs are live at once.
 
 use std::io::{self, Write};
 
@@ -58,31 +68,44 @@ pub const STAGES: &[(&str, StageFn)] = &[
     ("extensions", extensions::run),
 ];
 
-/// Run the MCT controller for one (workload, model, budget, target)
-/// through the derived-result cache: figure7 and figure9 request the
-/// identical gradient-boosting run and share one execution, and a warm
-/// rerun serves every controller outcome from disk.
-pub(crate) fn cached_mct_outcome(
-    w: Workload,
-    kind: ModelKind,
-    total_insts: u64,
-    target_years: f64,
-    scale: Scale,
-    seed: u64,
-) -> Outcome {
-    let store = derived_store(scale, seed);
-    let key = derived_key(
-        &format!("mct_run/{}/{}", w.name(), kind.label()),
-        seed,
-        &[total_insts as f64, w.warmup_insts() as f64, target_years],
-    );
-    store.get_or_compute(key, || {
+/// One MCT controller run a figure asks for: (workload, model, budget,
+/// lifetime target).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MctRun {
+    pub(crate) workload: Workload,
+    pub(crate) kind: ModelKind,
+    pub(crate) total_insts: u64,
+    pub(crate) target_years: f64,
+}
+
+/// Run every requested controller through the derived-result cache as
+/// one batch on the grain pool, outcomes in input order: figure7 and
+/// figure9 request the identical gradient-boosting runs and share one
+/// execution, and a warm rerun serves every outcome from disk.
+pub(crate) fn cached_mct_outcomes(runs: &[MctRun], scale: Scale, seed: u64) -> Vec<Outcome> {
+    let units: Vec<(u64, MctRun)> = runs
+        .iter()
+        .map(|run| {
+            let w = run.workload;
+            let key = derived_key(
+                &format!("mct_run/{}/{}", w.name(), run.kind.label()),
+                seed,
+                &[
+                    run.total_insts as f64,
+                    w.warmup_insts() as f64,
+                    run.target_years,
+                ],
+            );
+            (key, *run)
+        })
+        .collect();
+    derived_store(scale, seed).get_or_compute_many(&units, |run| {
         let mut cfg = ControllerConfig::paper_scaled();
-        cfg.model = kind;
-        cfg.total_insts = total_insts;
-        cfg.warmup_insts = w.warmup_insts();
-        let mut controller = Controller::new(cfg, Objective::paper_default(target_years));
-        controller.run(&mut w.source(seed))
+        cfg.model = run.kind;
+        cfg.total_insts = run.total_insts;
+        cfg.warmup_insts = run.workload.warmup_insts();
+        let mut controller = Controller::new(cfg, Objective::paper_default(run.target_years));
+        controller.run(&mut run.workload.source(seed))
     })
 }
 

@@ -17,7 +17,16 @@
 //! Results are keyed by input index and reassembled after the join, so
 //! output order — and therefore every downstream figure — is identical
 //! no matter which worker claimed which grain.
+//!
+//! Rounds nest without oversubscribing: a [`run_grains`] called from
+//! inside a grain of a multi-threaded round runs inline on that grain's
+//! worker, so a pass never runs more than `MCT_WORKERS` threads. Its
+//! grains still count as executed, under the enclosing worker's series.
+//! A one-thread round (one grain, or one worker) leaves the pool idle,
+//! so rounds nested in it spawn as usual: a Figure 10 mix unit, run as
+//! a batch of one, spreads its 32 MCT samples over every worker.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -94,12 +103,35 @@ pub fn workers_plan(env: Option<&str>) -> WorkersPlan {
     }
 }
 
+thread_local! {
+    /// The pool worker index this thread is running grains as, if any.
+    static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Marks the current thread as pool worker `index` until dropped, then
+/// restores the previous mark (unwinding included).
+struct WorkerMark(Option<usize>);
+
+impl WorkerMark {
+    fn set(index: usize) -> WorkerMark {
+        WorkerMark(WORKER.replace(Some(index)))
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        WORKER.set(self.0);
+    }
+}
+
 /// Run `f` over every item on `workers` threads and return the results
 /// in input order.
 ///
 /// The caller's thread is worker 0, so `workers == 1` (or one item)
-/// spawns nothing. Either way one scheduler round is recorded into the
-/// process pipeline registry.
+/// spawns nothing. Called from inside a grain of a multi-threaded round,
+/// the round runs inline on that grain's worker and spawns nothing
+/// either. Either way
+/// one scheduler round is recorded into the process pipeline registry.
 ///
 /// # Panics
 /// Propagates any panic raised by `f`.
@@ -109,6 +141,23 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    if let Some(worker) = WORKER.get() {
+        // The enclosing grain's busy and wall time already cover this
+        // round; only its grains are new.
+        let out: Vec<R> = items.iter().map(f).collect();
+        if !out.is_empty() {
+            let mut registry = pipeline_stats().registry();
+            registry.incr("pipeline.sched_rounds", 1);
+            registry.incr("pipeline.grains_executed", items.len() as u64);
+            let index = worker.to_string();
+            registry.incr_with(
+                "pipeline.worker.executed",
+                &[("worker", index.as_str())],
+                items.len() as u64,
+            );
+        }
+        return out;
+    }
     let (out, tallies) = run_grains_tallied(items, workers, f);
     if tallies.is_empty() {
         return out;
@@ -142,8 +191,9 @@ pub(crate) struct WorkerTally {
 ///
 /// Workers claim item indices from a shared cursor until it passes the
 /// end. The caller runs worker 0's loop itself beside `workers − 1`
-/// scoped threads; a panic in any of them reaches the caller once the
-/// rest have drained the cursor.
+/// scoped threads (none when the caller is itself a pool worker); a
+/// panic in any of them reaches the caller once the rest have drained
+/// the cursor.
 pub(crate) fn run_grains_tallied<T, R, F>(
     items: &[T],
     workers: usize,
@@ -158,8 +208,17 @@ where
     if n == 0 {
         return (Vec::new(), Vec::new());
     }
+    let threads = if WORKER.get().is_some() {
+        1
+    } else {
+        workers.clamp(1, n)
+    };
     let cursor = AtomicUsize::new(0);
-    let work = || {
+    let work = |index: usize| {
+        // Only a round that actually shares the pool marks its threads:
+        // a one-thread round leaves nested rounds free to spawn. A nested
+        // tallied round keeps the enclosing worker's mark.
+        let _mark = (threads > 1).then(|| WorkerMark::set(WORKER.get().unwrap_or(index)));
         let wall = Instant::now();
         let mut tally = WorkerTally::default();
         let mut done: Vec<(usize, R)> = Vec::new();
@@ -179,10 +238,11 @@ where
         (tally, done)
     };
     let per_worker: Vec<(WorkerTally, Vec<(usize, R)>)> = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..workers.clamp(1, n))
-            .map(|_| scope.spawn(work))
+        let work = &work;
+        let spawned: Vec<_> = (1..threads)
+            .map(|index| scope.spawn(move || work(index)))
             .collect();
-        let mine = work();
+        let mine = work(0);
         std::iter::once(mine)
             .chain(spawned.into_iter().map(|h| {
                 h.join()
@@ -237,6 +297,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn nested_round_runs_inline_on_the_enclosing_worker() {
+        // In a multi-threaded round, every inner grain runs on the thread
+        // of the outer grain that started its round, and counts under
+        // that worker's series.
+        let outer: Vec<u64> = (0..6).collect();
+        let before = counter("pipeline.grains_executed", &[]);
+        let got = run_grains(&outer, 2, |&o| {
+            let me = std::thread::current().id();
+            let inner: Vec<u64> = (0..8).collect();
+            let tids = run_grains(&inner, 4, |&i| (o * 10 + i, std::thread::current().id()));
+            assert!(tids.iter().all(|(_, tid)| *tid == me), "outer grain {o}");
+            tids.iter().map(|(v, _)| *v).sum::<u64>()
+        });
+        let want: Vec<u64> = outer.iter().map(|o| o * 80 + 28).collect();
+        assert_eq!(got, want);
+        assert!(counter("pipeline.grains_executed", &[]) - before >= 6 + 6 * 8);
+        // A one-thread round marks nothing: rounds nested in it may use
+        // the idle pool.
+        assert_eq!(run_grains(&[0u8], 4, |_| WORKER.get()), vec![None]);
+        assert_eq!(run_grains(&[0u8; 3], 1, |_| WORKER.get()), vec![None; 3]);
+        // The caller's mark is gone once a round returns or unwinds, so
+        // its next round spawns again.
+        assert_eq!(WORKER.get(), None);
+        let panicked = std::panic::catch_unwind(|| run_grains(&outer, 2, |_| panic!("grain")));
+        assert!(panicked.is_err());
+        assert_eq!(WORKER.get(), None);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mct_core::NvmConfig;
-use mct_experiments::cache::{cached_measurement, grain_key, GrainStore};
+use mct_experiments::cache::{derived_key, grain_key, DerivedStore, GrainStore};
 use mct_experiments::{Scale, WarmedRig, CACHE_VERSION, EXPERIMENT_SEED};
 use mct_persist::{StateStore, TempDir};
 use mct_sim::stats::Metrics;
@@ -56,11 +56,11 @@ fn cache_hit_is_bit_identical_and_damage_is_survivable() {
     let fresh = bits(WarmedRig::new(workload, scale, EXPERIMENT_SEED).measure(&cfg));
     let measure = |store: &GrainStore| {
         let computes = AtomicUsize::new(0);
-        let m = cached_measurement(store, key, || {
+        let m: Vec<Metrics> = store.get_or_compute_many(&[(key, cfg)], |cfg| {
             computes.fetch_add(1, Ordering::SeqCst);
-            WarmedRig::new(workload, scale, EXPERIMENT_SEED).measure(&cfg)
+            WarmedRig::new(workload, scale, EXPERIMENT_SEED).measure(cfg)
         });
-        assert_eq!(bits(m), fresh, "cached or not, the bits must match");
+        assert_eq!(bits(m[0]), fresh, "cached or not, the bits must match");
         computes.load(Ordering::SeqCst)
     };
 
@@ -113,6 +113,51 @@ fn cache_hit_is_bit_identical_and_damage_is_survivable() {
     let healed = GrainStore::open(dir);
     assert_eq!(healed.len(), 1);
     assert_eq!(measure(&healed), 0, "healed shard must hit");
+}
+
+fn counter(name: &str) -> u64 {
+    pipeline_stats().registry().counter_with(name, &[])
+}
+
+#[test]
+fn batch_lookup_counts_every_request_once() {
+    // Exact deltas: every test in this binary that moves the pipeline
+    // counters holds the lock.
+    let _counters = lock_counters();
+    let tmp = TempDir::new("mct-cache-batch");
+    let store = DerivedStore::open(tmp.join("derived_batch"));
+    let key = |i: u64| derived_key("batch", EXPERIMENT_SEED, &[i as f64]);
+    store.record(key(1), &10u64);
+    store.record(key(4), &40u64);
+    // Two cached units, one repeated miss, three fresh misses.
+    let units: Vec<(u64, u64)> = [0u64, 1, 2, 3, 4, 2, 5]
+        .iter()
+        .map(|&i| (key(i), i))
+        .collect();
+    let (hits, executed, rounds) = (
+        counter("pipeline.cache_hits"),
+        counter("pipeline.grains_executed"),
+        counter("pipeline.sched_rounds"),
+    );
+    let got: Vec<u64> = store.get_or_compute_many(&units, |&i| i * 10);
+    assert_eq!(got, vec![0, 10, 20, 30, 40, 20, 50], "input order");
+    let hits = counter("pipeline.cache_hits") - hits;
+    let executed = counter("pipeline.grains_executed") - executed;
+    assert_eq!((hits, executed), (3, 4));
+    assert_eq!(hits + executed, units.len() as u64, "one count per request");
+    assert_eq!(counter("pipeline.sched_rounds") - rounds, 1);
+
+    // A batch that hits everywhere runs no round and reaches no compute.
+    let (hits, executed, rounds) = (
+        counter("pipeline.cache_hits"),
+        counter("pipeline.grains_executed"),
+        counter("pipeline.sched_rounds"),
+    );
+    let again: Vec<u64> = store.get_or_compute_many(&units, |_| panic!("all cached"));
+    assert_eq!(again, got);
+    assert_eq!(counter("pipeline.cache_hits") - hits, units.len() as u64);
+    assert_eq!(counter("pipeline.grains_executed"), executed);
+    assert_eq!(counter("pipeline.sched_rounds"), rounds);
 }
 
 /// One frame payload for the shard fuzzer, and the entry the shard must

@@ -103,6 +103,14 @@ impl Regressor for LassoRegression {
             .map(|t| (t - y_mean) / y_scale)
             .collect();
 
+        // Feature-major copy: column j is `xc[j*n..(j+1)*n]`, so both
+        // inner loops below stream one contiguous slice.
+        let mut xc = vec![0.0f64; d * n];
+        for (i, row) in x.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                xc[j * n + i] = v;
+            }
+        }
         // Column norms (constant across iterations).
         let mut col_sq = vec![0.0f64; d];
         for row in &x {
@@ -121,17 +129,19 @@ impl Regressor for LassoRegression {
                 if col_sq[j] < 1e-12 {
                     continue;
                 }
-                // rho = x_j . r + w_j * ||x_j||^2 (residual with j removed)
+                let col = &xc[j * n..(j + 1) * n];
+                // rho = x_j . r + w_j * ||x_j||^2 (residual with j removed),
+                // summed in row order like the row-major loop it replaces.
                 let mut rho = 0.0;
-                for i in 0..n {
-                    rho += x[i][j] * r[i];
+                for (xi, ri) in col.iter().zip(&r) {
+                    rho += xi * ri;
                 }
                 rho += w[j] * col_sq[j];
                 let new_w = Self::soft_threshold(rho, penalty) / col_sq[j];
                 let delta = new_w - w[j];
                 if delta != 0.0 {
-                    for i in 0..n {
-                        r[i] -= delta * x[i][j];
+                    for (ri, xi) in r.iter_mut().zip(col) {
+                        *ri -= delta * xi;
                     }
                     w[j] = new_w;
                     max_delta = max_delta.max(delta.abs());

@@ -205,6 +205,22 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_a_typed_error_not_an_abort() {
+        // A `Transition` payload nested 100,000 arrays deep used to
+        // overflow the parser's stack and abort the process.
+        let deep = format!(
+            r#"{{"seq":0,"sim_insts":0,"wall_us":0,"event":{{"Transition":{}}}}}"#,
+            "[".repeat(100_000)
+        );
+        let err = parse_jsonl_tolerant(&deep).expect_err("too deep");
+        assert!(
+            err.starts_with("line 1") && err.contains("recursion limit"),
+            "{err}"
+        );
+        assert!(parse_jsonl(&deep).is_err());
+    }
+
+    #[test]
     fn blank_lines_are_skipped() {
         let records = sample_trace();
         let jsonl = format!(

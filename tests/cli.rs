@@ -1,6 +1,6 @@
-//! The `mct` binary's exit codes on refused flag values: a usage error
-//! exits 1 with a message, never 101 (a panic) and never 0 (a silently
-//! defaulted value).
+//! The `mct` binary's exit codes on refused input: a usage error or a
+//! malformed trace exits 1 with a message, never 101 (a panic), never an
+//! abort, and never 0 (a silently defaulted value).
 
 use std::process::{Command, Output};
 
@@ -41,4 +41,25 @@ fn unparsable_min_coverage_is_a_usage_error() {
     assert!(out.status.success(), "traced run failed: {out:?}");
     let args = ["profile", trace, "--min-coverage", "abc"];
     assert_usage_error(&mct(&args), &args.join(" "));
+}
+
+#[test]
+fn deeply_nested_trace_line_exits_with_a_message() {
+    let dir = TempDir::new("mct-cli-deep");
+    let trace = dir.join("deep.jsonl");
+    let line = format!(
+        r#"{{"seq":0,"sim_insts":0,"wall_us":0,"event":{{"Transition":{}}}}}"#,
+        "[".repeat(100_000)
+    );
+    std::fs::write(&trace, line + "\n").expect("write trace");
+    let trace = trace.to_str().expect("utf-8 temp path");
+    for cmd in ["report", "metrics", "profile"] {
+        let out = mct(&[cmd, trace]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "mct {cmd}: stderr {stderr}");
+        assert!(
+            stderr.contains("line 1") && stderr.contains("recursion limit"),
+            "mct {cmd}: stderr {stderr}"
+        );
+    }
 }
