@@ -130,8 +130,8 @@ impl Drop for WorkerMark {
 /// The caller's thread is worker 0, so `workers == 1` (or one item)
 /// spawns nothing. Called from inside a grain of a multi-threaded round,
 /// the round runs inline on that grain's worker and spawns nothing
-/// either. Either way
-/// one scheduler round is recorded into the process pipeline registry.
+/// either. Either way one scheduler round is recorded into the process
+/// pipeline registry.
 ///
 /// # Panics
 /// Propagates any panic raised by `f`.
@@ -215,10 +215,9 @@ where
     };
     let cursor = AtomicUsize::new(0);
     let work = |index: usize| {
-        // Only a round that actually shares the pool marks its threads:
-        // a one-thread round leaves nested rounds free to spawn. A nested
-        // tallied round keeps the enclosing worker's mark.
-        let _mark = (threads > 1).then(|| WorkerMark::set(WORKER.get().unwrap_or(index)));
+        // Only a round that shares the pool marks its threads: a
+        // one-thread round leaves rounds nested in it free to spawn.
+        let _mark = (threads > 1).then(|| WorkerMark::set(index));
         let wall = Instant::now();
         let mut tally = WorkerTally::default();
         let mut done: Vec<(usize, R)> = Vec::new();
