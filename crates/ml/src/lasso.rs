@@ -83,10 +83,8 @@ impl LassoRegression {
 impl Regressor for LassoRegression {
     fn fit(&mut self, data: &Dataset) {
         let scaler = StandardScaler::fit(data.rows());
-        let x = scaler.transform_all(data.rows());
-        let n = x.len();
-        let n_raw = data.len();
-        let d = x[0].len();
+        let n = data.len();
+        let d = scaler.means().len();
         let y_mean = data.target_mean();
         // Standardize the target so the penalty is scale-invariant
         // (energy in joules and IPC near 1.0 get the same treatment).
@@ -95,7 +93,7 @@ impl Regressor for LassoRegression {
             .iter()
             .map(|t| (t - y_mean) * (t - y_mean))
             .sum::<f64>()
-            / n_raw as f64;
+            / n as f64;
         let y_scale = var.sqrt().max(1e-12);
         let y: Vec<f64> = data
             .targets()
@@ -103,21 +101,21 @@ impl Regressor for LassoRegression {
             .map(|t| (t - y_mean) / y_scale)
             .collect();
 
-        // Feature-major copy: column j is `xc[j*n..(j+1)*n]`, so both
-        // inner loops below stream one contiguous slice.
+        // Standardized features, feature-major: column j is
+        // `xc[j*n..(j+1)*n]`, so both inner loops below stream one
+        // contiguous slice. Each value is `StandardScaler::transform`'s.
+        let (means, stds) = (scaler.means(), scaler.stds());
         let mut xc = vec![0.0f64; d * n];
-        for (i, row) in x.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                xc[j * n + i] = v;
+        for (i, row) in data.rows().iter().enumerate() {
+            for (j, ((x, m), s)) in row.iter().zip(means).zip(stds).enumerate() {
+                xc[j * n + i] = (x - m) / s;
             }
         }
-        // Column norms (constant across iterations).
-        let mut col_sq = vec![0.0f64; d];
-        for row in &x {
-            for (c, v) in col_sq.iter_mut().zip(row) {
-                *c += v * v;
-            }
-        }
+        // Column norms (constant across iterations), summed in row order.
+        let col_sq: Vec<f64> = xc
+            .chunks_exact(n)
+            .map(|col| col.iter().fold(0.0, |acc, v| acc + v * v))
+            .collect();
 
         let mut w = vec![0.0f64; d];
         // Residual r = y - Xw, maintained incrementally.
@@ -131,7 +129,7 @@ impl Regressor for LassoRegression {
                 }
                 let col = &xc[j * n..(j + 1) * n];
                 // rho = x_j . r + w_j * ||x_j||^2 (residual with j removed),
-                // summed in row order like the row-major loop it replaces.
+                // summed in row order.
                 let mut rho = 0.0;
                 for (xi, ri) in col.iter().zip(&r) {
                     rho += xi * ri;
