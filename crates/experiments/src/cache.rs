@@ -33,15 +33,17 @@
 //!
 //! Work that is not a sweep grain — Figures 7–9's controller runs,
 //! Figure 10's mix units, the extension study's grains — goes through
-//! one batch lookup on either shard type, [`Store::get_or_compute_many`]:
-//! its misses run as one scheduler round, so Figures 7–10 and the
-//! extensions run on the pool rather than the caller's thread.
+//! [`Store::get_or_compute_many`] on either shard type, so Figures 7–10
+//! and the extensions run on the pool rather than the caller's thread.
+//! It and [`load_or_compute_sweeps`] share one batch lookup: look up
+//! every key, run the misses as one scheduler round, record each value
+//! as it completes.
 //!
 //! A shard has one writer: the process-wide pools give each shard one
 //! handle per process, and two processes must not write to one data dir
 //! at the same time.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -332,31 +334,59 @@ impl<V: Serialize + Deserialize + Clone> Store<V> {
         T: Clone + Send,
         F: Fn(&U) -> T + Sync,
     {
-        let mut hits = 0u64;
-        let mut misses: Vec<&(u64, U)> = Vec::new();
-        let mut scheduled = std::collections::HashSet::new();
-        let mut out: Vec<Option<T>> = Vec::with_capacity(units.len());
-        for unit in units {
-            let hit = self.fetch(unit.0);
-            if hit.is_some() || !scheduled.insert(unit.0) {
-                hits += 1;
-            } else {
-                misses.push(unit);
-            }
-            out.push(hit);
-        }
-        pipeline_stats().add("pipeline.cache_hits", hits);
-        let fresh = run_grains(&misses, default_workers(), |(key, unit)| {
-            let v = compute(unit);
-            self.put(*key, &v);
-            v
-        });
-        let fresh: HashMap<u64, T> = misses.iter().map(|(key, _)| *key).zip(fresh).collect();
-        out.into_iter()
-            .zip(units)
-            .map(|(hit, (key, _))| hit.unwrap_or_else(|| fresh[key].clone()))
-            .collect()
+        let units: Vec<(&Self, u64, &U)> =
+            units.iter().map(|(key, unit)| (self, *key, unit)).collect();
+        serve_batch(&units, |_, _| {}, |unit| compute(unit))
     }
+}
+
+/// The batch lookup behind [`Store::get_or_compute_many`] and
+/// [`load_or_compute_sweeps`], over units that each name their shard and
+/// key. `before_round` sees the deduplicated misses and the hit count
+/// just before the misses' round starts, and is skipped when every unit
+/// hits.
+fn serve_batch<S, U, T>(
+    units: &[(&S, u64, U)],
+    before_round: impl FnOnce(&[&(&S, u64, U)], u64),
+    compute: impl Fn(&U) -> T + Sync,
+) -> Vec<T>
+where
+    S: Cached<T> + Sync,
+    U: Sync,
+    T: Clone + Send,
+{
+    let mut hits = 0u64;
+    let mut misses = Vec::new();
+    let mut scheduled = HashSet::new();
+    let mut out: Vec<Option<T>> = Vec::with_capacity(units.len());
+    for unit in units {
+        let (store, key, _) = unit;
+        let hit = store.fetch(*key);
+        if hit.is_some() || !scheduled.insert(*key) {
+            hits += 1;
+        } else {
+            misses.push(unit);
+        }
+        out.push(hit);
+    }
+    pipeline_stats().add("pipeline.cache_hits", hits);
+    if misses.is_empty() {
+        return out
+            .into_iter()
+            .map(|hit| hit.expect("every unit hit"))
+            .collect();
+    }
+    before_round(&misses, hits);
+    let fresh = run_grains(&misses, default_workers(), |(store, key, unit)| {
+        let v = compute(unit);
+        store.put(*key, &v);
+        v
+    });
+    let fresh: HashMap<u64, T> = misses.iter().map(|(_, key, _)| *key).zip(fresh).collect();
+    out.into_iter()
+        .zip(units)
+        .map(|(hit, (_, key, _))| hit.unwrap_or_else(|| fresh[key].clone()))
+        .collect()
 }
 
 /// Default cache directory (workspace `data/`), overridable with
@@ -452,13 +482,20 @@ pub struct SweepRequest {
     pub configs: Vec<NvmConfig>,
 }
 
-/// A scheduled cache miss: everything a worker needs to measure and
-/// persist one grain.
-struct MissGrain {
-    cfg: NvmConfig,
-    key: u64,
-    rig: Arc<RigCell>,
-    store: Arc<GrainStore>,
+/// A workload's warm rig, taken from the pool only once one of its
+/// grains misses: taking an already-warmed rig counts as a reuse.
+struct LazyRig {
+    workload: Workload,
+    seed: u64,
+    budget: u64,
+    cell: OnceLock<Arc<RigCell>>,
+}
+
+impl LazyRig {
+    fn get(&self) -> &Arc<RigCell> {
+        self.cell
+            .get_or_init(|| shared_rig(self.workload, self.seed, self.budget))
+    }
 }
 
 /// Serve a batch of sweeps from the grain cache, measuring only the
@@ -482,88 +519,78 @@ pub fn load_or_compute_sweeps(
     scale: Scale,
     seed: u64,
 ) -> Vec<SweepDataset> {
-    let stats = pipeline_stats();
-    let mut misses: Vec<MissGrain> = Vec::new();
-    let mut scheduled: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut hits = 0u64;
-    // Index-parallel with `requests`: (store, per-config keys).
-    let mut plans: Vec<(Arc<GrainStore>, Vec<u64>)> = Vec::with_capacity(requests.len());
+    let stores: Vec<Arc<GrainStore>> = requests
+        .iter()
+        .map(|req| grain_store(req.workload, scale, seed))
+        .collect();
+    let rigs: Vec<LazyRig> = requests
+        .iter()
+        .map(|req| LazyRig {
+            workload: req.workload,
+            seed,
+            budget: req.workload.detailed_insts(scale.detailed_factor()),
+            cell: OnceLock::new(),
+        })
+        .collect();
+    let units: Vec<(&GrainStore, u64, (NvmConfig, &LazyRig))> = requests
+        .iter()
+        .zip(&stores)
+        .zip(&rigs)
+        .flat_map(|((req, store), rig)| {
+            req.configs.iter().map(move |cfg| {
+                let key = grain_key(req.workload, seed, rig.budget, cfg);
+                (&**store, key, (*cfg, rig))
+            })
+        })
+        .collect();
 
-    for req in requests {
-        let store = grain_store(req.workload, scale, seed);
-        let budget = req.workload.detailed_insts(scale.detailed_factor());
-        let mut keys = Vec::with_capacity(req.configs.len());
-        let mut rig: Option<Arc<RigCell>> = None;
-        for cfg in &req.configs {
-            let key = grain_key(req.workload, seed, budget, cfg);
-            keys.push(key);
-            if store.get(key).is_some() || scheduled.contains(&key) {
-                hits += 1;
-                continue;
+    let mut started: Option<Instant> = None;
+    let metrics = serve_batch(
+        &units,
+        |misses, hits| {
+            // Pre-warm each distinct rig on the same pool so no
+            // measurement worker stalls behind another workload's warmup.
+            // Warmups are rig work, not grains — they are accounted by
+            // the rig pool, not as a scheduler round.
+            let mut warm: Vec<Arc<RigCell>> = Vec::new();
+            for (_, _, (_, rig)) in misses {
+                let cell = rig.get();
+                if !warm.iter().any(|c| Arc::ptr_eq(c, cell)) {
+                    warm.push(Arc::clone(cell));
+                }
             }
-            scheduled.insert(key);
-            misses.push(MissGrain {
-                cfg: *cfg,
-                key,
-                rig: Arc::clone(rig.get_or_insert_with(|| shared_rig(req.workload, seed, budget))),
-                store: Arc::clone(&store),
+            // Single deployment-style measurements stay quiet; only real
+            // sweep rounds get progress lines.
+            if misses.len() >= 8 {
+                // mct-tidy: allow(D002) -- progress-line timing only; never feeds results
+                started = Some(Instant::now());
+                eprintln!(
+                    "measuring {} grains across {} workload rigs ({} served from cache) at scale {scale} ...",
+                    misses.len(),
+                    warm.len(),
+                    hits
+                );
+            }
+            let _ = run_grains_tallied(&warm, default_workers(), |cell| {
+                let _ = cell.rig();
             });
-        }
-        plans.push((store, keys));
-    }
-    stats.add("pipeline.cache_hits", hits);
-
-    if !misses.is_empty() {
-        let workers = default_workers();
-        // Pre-warm each distinct rig on the same pool so no measurement
-        // worker stalls behind another workload's warmup. Warmups are rig
-        // work, not grains — they are accounted by the rig pool, not as a
-        // scheduler round.
-        let mut warm: Vec<Arc<RigCell>> = Vec::new();
-        for g in &misses {
-            if !warm.iter().any(|c| Arc::ptr_eq(c, &g.rig)) {
-                warm.push(Arc::clone(&g.rig));
-            }
-        }
-        // Single deployment-style measurements stay quiet; only real
-        // sweep rounds get progress lines.
-        let chatty = misses.len() >= 8;
-        // mct-tidy: allow(D002) -- progress-line timing only; never feeds results
-        let t0 = Instant::now();
-        if chatty {
-            eprintln!(
-                "measuring {} grains across {} workload rigs ({} served from cache) at scale {scale} ...",
-                misses.len(),
-                warm.len(),
-                hits
-            );
-        }
-        let _ = run_grains_tallied(&warm, workers, |cell| {
-            let _ = cell.rig();
-        });
-        let _ = run_grains(&misses, workers, |g| {
-            let m = g.rig.rig().measure(&g.cfg);
-            g.store.record(g.key, m);
-            m
-        });
-        if chatty {
-            eprintln!("  done in {:.1}s", t0.elapsed().as_secs_f64());
-        }
+        },
+        |(cfg, rig)| rig.get().rig().measure(cfg),
+    );
+    if let Some(t0) = started {
+        eprintln!("  done in {:.1}s", t0.elapsed().as_secs_f64());
     }
 
+    let mut metrics = metrics.into_iter();
     requests
         .iter()
-        .zip(plans)
-        .map(|(req, (store, keys))| SweepDataset {
+        .map(|req| SweepDataset {
             version: CACHE_VERSION,
             workload: req.workload.name().to_string(),
             scale: scale.tag().to_string(),
             stride: scale.space_stride(),
             configs: req.configs.clone(),
-            metrics: keys
-                .iter()
-                .map(|k| store.get(*k).expect("grain measured or cached"))
-                .collect(),
+            metrics: metrics.by_ref().take(req.configs.len()).collect(),
         })
         .collect()
 }

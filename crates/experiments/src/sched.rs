@@ -18,13 +18,11 @@
 //! output order — and therefore every downstream figure — is identical
 //! no matter which worker claimed which grain.
 //!
-//! Rounds nest without oversubscribing: a [`run_grains`] called from
-//! inside a grain of a multi-threaded round runs inline on that grain's
-//! worker, so a pass never runs more than `MCT_WORKERS` threads. Its
-//! grains still count as executed, under the enclosing worker's series.
-//! A one-thread round (one grain, or one worker) leaves the pool idle,
-//! so rounds nested in it spawn as usual: a Figure 10 mix unit, run as
-//! a batch of one, spreads its 32 MCT samples over every worker.
+//! Rounds may nest: a Figure 10 mix unit, run as a one-grain round,
+//! spreads its 32 MCT samples over the pool as a round of its own. A
+//! round whose grains started rounds records only its executed counts;
+//! the inner rounds record the time, so no worker's busy or wall time
+//! is counted twice.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -32,6 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use mct_telemetry::pipeline_stats;
+use mct_telemetry::registry::Registry;
 
 /// How the worker count was decided.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,34 +103,17 @@ pub fn workers_plan(env: Option<&str>) -> WorkersPlan {
 }
 
 thread_local! {
-    /// The pool worker index this thread is running grains as, if any.
-    static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Marks the current thread as pool worker `index` until dropped, then
-/// restores the previous mark (unwinding included).
-struct WorkerMark(Option<usize>);
-
-impl WorkerMark {
-    fn set(index: usize) -> WorkerMark {
-        WorkerMark(WORKER.replace(Some(index)))
-    }
-}
-
-impl Drop for WorkerMark {
-    fn drop(&mut self) {
-        WORKER.set(self.0);
-    }
+    /// Rounds started on this thread: a worker compares it before and
+    /// after its grains to tell whether they started rounds of their own.
+    static ROUNDS_STARTED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Run `f` over every item on `workers` threads and return the results
 /// in input order.
 ///
 /// The caller's thread is worker 0, so `workers == 1` (or one item)
-/// spawns nothing. Called from inside a grain of a multi-threaded round,
-/// the round runs inline on that grain's worker and spawns nothing
-/// either. Either way one scheduler round is recorded into the process
-/// pipeline registry.
+/// spawns nothing. Either way one scheduler round is recorded into the
+/// process pipeline registry.
 ///
 /// # Panics
 /// Propagates any panic raised by `f`.
@@ -141,38 +123,30 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if let Some(worker) = WORKER.get() {
-        // The enclosing grain's busy and wall time already cover this
-        // round; only its grains are new.
-        let out: Vec<R> = items.iter().map(f).collect();
-        if !out.is_empty() {
-            let mut registry = pipeline_stats().registry();
-            registry.incr("pipeline.sched_rounds", 1);
-            registry.incr("pipeline.grains_executed", items.len() as u64);
-            let index = worker.to_string();
-            registry.incr_with(
-                "pipeline.worker.executed",
-                &[("worker", index.as_str())],
-                items.len() as u64,
-            );
-        }
-        return out;
-    }
     let (out, tallies) = run_grains_tallied(items, workers, f);
-    if tallies.is_empty() {
-        return out;
+    if !tallies.is_empty() {
+        record_round(&mut pipeline_stats().registry(), &tallies);
     }
-    let mut registry = pipeline_stats().registry();
+    out
+}
+
+/// Write one round's counts into `registry`. A round whose grains
+/// started rounds of their own records only its executed counts: those
+/// inner rounds record the busy and wall time it spans.
+fn record_round(registry: &mut Registry, tallies: &[WorkerTally]) {
     registry.incr("pipeline.sched_rounds", 1);
-    registry.incr("pipeline.grains_executed", items.len() as u64);
+    let executed = tallies.iter().map(|t| t.executed).sum();
+    registry.incr("pipeline.grains_executed", executed);
+    let nested = tallies.iter().any(|t| t.nested);
     for (i, t) in tallies.iter().enumerate() {
         let index = i.to_string();
         let worker = [("worker", index.as_str())];
         registry.incr_with("pipeline.worker.executed", &worker, t.executed);
-        registry.incr_with("pipeline.worker.busy_us", &worker, t.busy_us);
-        registry.incr_with("pipeline.worker.wall_us", &worker, t.wall_us);
+        if !nested {
+            registry.incr_with("pipeline.worker.busy_us", &worker, t.busy_us);
+            registry.incr_with("pipeline.worker.wall_us", &worker, t.wall_us);
+        }
     }
-    out
 }
 
 /// Per-worker execution accounting for one batch.
@@ -184,6 +158,8 @@ pub(crate) struct WorkerTally {
     pub(crate) busy_us: u64,
     /// Microseconds from worker start to worker exit.
     pub(crate) wall_us: u64,
+    /// Whether this worker's grains started scheduler rounds.
+    pub(crate) nested: bool,
 }
 
 /// The crate's one thread pool: results in input order plus one tally
@@ -191,9 +167,8 @@ pub(crate) struct WorkerTally {
 ///
 /// Workers claim item indices from a shared cursor until it passes the
 /// end. The caller runs worker 0's loop itself beside `workers − 1`
-/// scoped threads (none when the caller is itself a pool worker); a
-/// panic in any of them reaches the caller once the rest have drained
-/// the cursor.
+/// scoped threads; a panic in any of them reaches the caller once the
+/// rest have drained the cursor.
 pub(crate) fn run_grains_tallied<T, R, F>(
     items: &[T],
     workers: usize,
@@ -208,16 +183,10 @@ where
     if n == 0 {
         return (Vec::new(), Vec::new());
     }
-    let threads = if WORKER.get().is_some() {
-        1
-    } else {
-        workers.clamp(1, n)
-    };
+    ROUNDS_STARTED.set(ROUNDS_STARTED.get() + 1);
     let cursor = AtomicUsize::new(0);
-    let work = |index: usize| {
-        // Only a round that shares the pool marks its threads: a
-        // one-thread round leaves rounds nested in it free to spawn.
-        let _mark = (threads > 1).then(|| WorkerMark::set(index));
+    let work = || {
+        let rounds = ROUNDS_STARTED.get();
         let wall = Instant::now();
         let mut tally = WorkerTally::default();
         let mut done: Vec<(usize, R)> = Vec::new();
@@ -234,14 +203,14 @@ where
             tally.executed += 1;
         }
         tally.wall_us = wall.elapsed().as_micros() as u64;
+        tally.nested = ROUNDS_STARTED.get() != rounds;
         (tally, done)
     };
     let per_worker: Vec<(WorkerTally, Vec<(usize, R)>)> = std::thread::scope(|scope| {
-        let work = &work;
-        let spawned: Vec<_> = (1..threads)
-            .map(|index| scope.spawn(move || work(index)))
+        let spawned: Vec<_> = (1..workers.clamp(1, n))
+            .map(|_| scope.spawn(work))
             .collect();
-        let mine = work(0);
+        let mine = work();
         std::iter::once(mine)
             .chain(spawned.into_iter().map(|h| {
                 h.join()
@@ -299,32 +268,39 @@ mod tests {
     }
 
     #[test]
-    fn nested_round_runs_inline_on_the_enclosing_worker() {
-        // In a multi-threaded round, every inner grain runs on the thread
-        // of the outer grain that started its round, and counts under
-        // that worker's series.
-        let outer: Vec<u64> = (0..6).collect();
-        let before = counter("pipeline.grains_executed", &[]);
-        let got = run_grains(&outer, 2, |&o| {
-            let me = std::thread::current().id();
-            let inner: Vec<u64> = (0..8).collect();
-            let tids = run_grains(&inner, 4, |&i| (o * 10 + i, std::thread::current().id()));
-            assert!(tids.iter().all(|(_, tid)| *tid == me), "outer grain {o}");
-            tids.iter().map(|(v, _)| *v).sum::<u64>()
+    fn a_round_whose_grains_start_rounds_counts_time_once() {
+        // Figure 10's shape: a one-grain round whose grain does serial
+        // work, then runs a pooled inner round. Only the inner round's
+        // time reaches the worker series; the outer grain still counts.
+        let inner_items: Vec<u32> = (0..8).collect();
+        let (inner, outer) = run_grains_tallied(&[()], 2, |()| {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            run_grains_tallied(&inner_items, 2, |&x| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                x
+            })
+            .1
         });
-        let want: Vec<u64> = outer.iter().map(|o| o * 80 + 28).collect();
-        assert_eq!(got, want);
-        assert!(counter("pipeline.grains_executed", &[]) - before >= 6 + 6 * 8);
-        // A one-thread round marks nothing: rounds nested in it may use
-        // the idle pool.
-        assert_eq!(run_grains(&[0u8], 4, |_| WORKER.get()), vec![None]);
-        assert_eq!(run_grains(&[0u8; 3], 1, |_| WORKER.get()), vec![None; 3]);
-        // The caller's mark is gone once a round returns or unwinds, so
-        // its next round spawns again.
-        assert_eq!(WORKER.get(), None);
-        let panicked = std::panic::catch_unwind(|| run_grains(&outer, 2, |_| panic!("grain")));
-        assert!(panicked.is_err());
-        assert_eq!(WORKER.get(), None);
+        let inner = &inner[0];
+        assert!(outer[0].nested && outer[0].wall_us > 0);
+        assert!(inner.iter().all(|t| !t.nested));
+        let mut registry = Registry::new();
+        record_round(&mut registry, &outer);
+        record_round(&mut registry, inner);
+        assert_eq!(registry.counter("pipeline.sched_rounds"), 2);
+        assert_eq!(registry.counter("pipeline.grains_executed"), 1 + 8);
+        for (i, t) in inner.iter().enumerate() {
+            let index = i.to_string();
+            let worker = [("worker", index.as_str())];
+            let count = |name| registry.counter_with(name, &worker);
+            assert_eq!(count("pipeline.worker.busy_us"), t.busy_us, "worker {i}");
+            assert_eq!(count("pipeline.worker.wall_us"), t.wall_us, "worker {i}");
+            let outer_executed = u64::from(i == 0);
+            assert_eq!(
+                count("pipeline.worker.executed"),
+                t.executed + outer_executed
+            );
+        }
     }
 
     #[test]
