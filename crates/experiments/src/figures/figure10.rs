@@ -31,8 +31,9 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 
     // Mix runs warm an 8 MB shared LLC each — by far the most expensive
     // derived results, so all three policy outcomes are cached as one
-    // unit. Units run one per batch: two live mix rigs raise a cold
-    // pass's peak RSS by ~14 %, and a batch of one leaves the pool to
+    // unit. Units run one per batch: pooling all six cuts Figure 10 from
+    // ~0.70 s to ~0.39 s of a cold smoke pass, but two live mix rigs
+    // raise its peak RSS by ~22 %, and a batch of one leaves the pool to
     // the unit's 32-sample round.
     let units: Vec<(u64, Mix)> = Mix::all()
         .into_iter()

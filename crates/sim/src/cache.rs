@@ -35,28 +35,6 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Paper Table 8 L1 data cache: 32 KB, 4-way, 2-cycle.
-    #[must_use]
-    pub fn l1d() -> CacheConfig {
-        CacheConfig {
-            size_bytes: 32 << 10,
-            ways: 4,
-            line_bytes: 64,
-            hit_latency_cycles: 2,
-        }
-    }
-
-    /// Paper Table 8 L2: 256 KB, 8-way, 12-cycle.
-    #[must_use]
-    pub fn l2() -> CacheConfig {
-        CacheConfig {
-            size_bytes: 256 << 10,
-            ways: 8,
-            line_bytes: 64,
-            hit_latency_cycles: 12,
-        }
-    }
-
     /// Paper Table 8 L3 (LLC): 2 MB, 16-way, 35-cycle.
     #[must_use]
     pub fn llc() -> CacheConfig {
@@ -131,20 +109,6 @@ pub struct AccessOutcome {
     pub eager_rewrite: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LineState {
-    tag: u64,
-    dirty: bool,
-    /// Set when an eager writeback cleaned this line while resident.
-    eager_cleaned: bool,
-}
-
-#[derive(Debug, Clone, Default)]
-struct CacheSet {
-    /// MRU-first ordering; index == LRU stack position.
-    lines: Vec<LineState>,
-}
-
 /// Aggregate cache statistics.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -175,11 +139,26 @@ impl CacheStats {
     }
 }
 
+/// Slot flag: the slot holds a resident line.
+const VALID: u8 = 1;
+/// Slot flag: the resident line is dirty.
+const DIRTY: u8 = 2;
+/// Slot flag: an eager writeback cleaned the line while resident.
+const EAGER_CLEANED: u8 = 4;
+
 /// A write-back, write-allocate, true-LRU set-associative cache.
+///
+/// All lines live in one flat arena of `ways` slots per set, MRU first,
+/// so a slot's index within its set is its LRU stack position. Resident
+/// lines fill a prefix of their set's slots. An LRU move is a
+/// `copy_within` on the set's slice, and a clone copies two vectors.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<CacheSet>,
+    /// Line address per slot; meaningful only where the slot is `VALID`.
+    tags: Vec<u64>,
+    /// `VALID`, `DIRTY` and `EAGER_CLEANED` bits per slot.
+    flags: Vec<u8>,
     set_mask: u64,
     stats: CacheStats,
     /// Round-robin cursor for eager-candidate scanning.
@@ -187,16 +166,11 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Approximate heap footprint of the cache state, in bytes — what a
-    /// warm-snapshot clone must copy (sweep-rig cost accounting).
+    /// Heap footprint of the line arena, in bytes — what a warm-snapshot
+    /// clone must copy (sweep-rig cost accounting).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.sets.capacity() * std::mem::size_of::<CacheSet>()
-            + self
-                .sets
-                .iter()
-                .map(|s| s.lines.capacity() * std::mem::size_of::<LineState>())
-                .sum::<usize>()
+        self.tags.capacity() * std::mem::size_of::<u64>() + self.flags.capacity()
     }
 
     /// Build a cache.
@@ -208,7 +182,8 @@ impl Cache {
         cfg.validate().expect("invalid cache config"); // mct-tidy: allow(P003) -- documented `# Panics` contract
         let sets = cfg.sets();
         Cache {
-            sets: vec![CacheSet::default(); sets],
+            tags: vec![0; sets * cfg.ways],
+            flags: vec![0; sets * cfg.ways],
             set_mask: sets as u64 - 1,
             stats: CacheStats {
                 stack_hits: vec![0; cfg.ways],
@@ -231,57 +206,71 @@ impl Cache {
         &self.stats
     }
 
-    fn set_index(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
+    /// Arena index of the first slot of `line`'s set.
+    fn set_base(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize * self.cfg.ways
+    }
+
+    /// Arena index of the slot holding `line`, if resident.
+    fn slot(&self, line: u64) -> Option<usize> {
+        let base = self.set_base(line);
+        // Resident lines fill a prefix of the set, so the first slot whose
+        // tag matches decides: an invalid one means no resident match.
+        let i = base
+            + self.tags[base..base + self.cfg.ways]
+                .iter()
+                .position(|&t| t == line)?;
+        (self.flags[i] & VALID != 0).then_some(i)
     }
 
     /// Perform a demand access for cache-line address `line`.
     pub fn access(&mut self, line: u64, kind: AccessKind) -> AccessOutcome {
         let ways = self.cfg.ways;
-        let set_idx = self.set_index(line);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.lines.iter().position(|l| l.tag == line) {
+        let base = self.set_base(line);
+        let hit = self.slot(line);
+        let tags = &mut self.tags[base..base + ways];
+        let flags = &mut self.flags[base..base + ways];
+        if let Some(pos) = hit.map(|i| i - base) {
             self.stats.hits += 1;
             self.stats.stack_hits[pos] += 1;
-            let mut entry = set.lines.remove(pos);
+            let mut state = flags[pos];
             let mut eager_rewrite = false;
             if kind.is_write() {
-                if entry.eager_cleaned && !entry.dirty {
+                if state & (DIRTY | EAGER_CLEANED) == EAGER_CLEANED {
                     eager_rewrite = true;
                     self.stats.eager_rewrites += 1;
                 }
-                entry.dirty = true;
-                entry.eager_cleaned = false;
+                state = VALID | DIRTY;
             }
-            set.lines.insert(0, entry);
+            tags.copy_within(0..pos, 1);
+            flags.copy_within(0..pos, 1);
+            tags[0] = line;
+            flags[0] = state;
             return AccessOutcome {
                 hit: true,
                 evicted: None,
                 eager_rewrite,
             };
         }
-        // Miss: write-allocate for both kinds.
+        // Miss: write-allocate for both kinds. The LRU slot is the victim
+        // if the set is full.
         self.stats.misses += 1;
-        let mut evicted = None;
-        if set.lines.len() >= ways {
-            // mct-tidy: allow(P003) -- the len() >= ways guard proves nonempty
-            let victim = set.lines.pop().expect("nonempty set");
-            if victim.dirty {
-                self.stats.writebacks += 1;
-            }
-            evicted = Some(Evicted {
-                line: victim.tag,
-                dirty: victim.dirty,
-            });
+        let lru = ways - 1;
+        let evicted = (flags[lru] & VALID != 0).then(|| Evicted {
+            line: tags[lru],
+            dirty: flags[lru] & DIRTY != 0,
+        });
+        if evicted.is_some_and(|v| v.dirty) {
+            self.stats.writebacks += 1;
         }
-        set.lines.insert(
-            0,
-            LineState {
-                tag: line,
-                dirty: kind.is_write(),
-                eager_cleaned: false,
-            },
-        );
+        tags.copy_within(0..lru, 1);
+        flags.copy_within(0..lru, 1);
+        tags[0] = line;
+        flags[0] = if kind.is_write() {
+            VALID | DIRTY
+        } else {
+            VALID
+        };
         AccessOutcome {
             hit: false,
             evicted,
@@ -329,16 +318,14 @@ impl Cache {
             return;
         }
         let ways = self.cfg.ways;
-        let nsets = self.sets.len();
+        let nsets = self.cfg.sets();
         for _ in 0..max_sets.min(nsets) {
-            let si = self.scan_cursor;
+            let end = (self.scan_cursor + 1) * ways;
             self.scan_cursor = (self.scan_cursor + 1) % nsets;
-            let set = &mut self.sets[si];
-            for pos in ways.saturating_sub(n)..set.lines.len() {
-                let entry = &mut set.lines[pos];
-                if entry.dirty && offer(entry.tag) {
-                    entry.dirty = false;
-                    entry.eager_cleaned = true;
+            // Only resident lines carry `DIRTY`.
+            for i in end - n..end {
+                if self.flags[i] & DIRTY != 0 && offer(self.tags[i]) {
+                    self.flags[i] = VALID | EAGER_CLEANED;
                     self.stats.eager_cleaned += 1;
                 }
             }
@@ -348,12 +335,11 @@ impl Cache {
     /// Flush all dirty lines, invoking `writeback` per dirty line
     /// (end-of-run accounting). Leaves the cache empty.
     pub fn flush<F: FnMut(u64)>(&mut self, mut writeback: F) {
-        for set in &mut self.sets {
-            for l in set.lines.drain(..) {
-                if l.dirty {
-                    writeback(l.tag);
-                }
+        for (&tag, state) in self.tags.iter().zip(&mut self.flags) {
+            if *state & DIRTY != 0 {
+                writeback(tag);
             }
+            *state = 0;
         }
     }
 
@@ -369,103 +355,7 @@ impl Cache {
     /// Whether `line` is currently resident (test/diagnostic helper).
     #[must_use]
     pub fn contains(&self, line: u64) -> bool {
-        self.sets[self.set_index(line)]
-            .lines
-            .iter()
-            .any(|l| l.tag == line)
-    }
-
-    /// Whether `line` is resident and dirty (test/diagnostic helper).
-    #[must_use]
-    pub fn is_dirty(&self, line: u64) -> bool {
-        self.sets[self.set_index(line)]
-            .lines
-            .iter()
-            .any(|l| l.tag == line && l.dirty)
-    }
-}
-
-/// An L1+L2 front-end that filters a CPU-level access stream down to the
-/// LLC-input level.
-///
-/// Used to *record* LLC-level traces once per workload; per-configuration
-/// replay then skips the (configuration-invariant) L1/L2 work.
-#[derive(Debug, Clone)]
-pub struct FrontEnd {
-    l1: Cache,
-    l2: Cache,
-}
-
-impl FrontEnd {
-    /// Build with the paper's Table 8 L1/L2 geometries.
-    #[must_use]
-    pub fn new() -> FrontEnd {
-        FrontEnd {
-            l1: Cache::new(CacheConfig::l1d()),
-            l2: Cache::new(CacheConfig::l2()),
-        }
-    }
-
-    /// Build from explicit configs.
-    #[must_use]
-    pub fn with_configs(l1: CacheConfig, l2: CacheConfig) -> FrontEnd {
-        FrontEnd {
-            l1: Cache::new(l1),
-            l2: Cache::new(l2),
-        }
-    }
-
-    /// Filter one CPU access; returns the accesses that reach the LLC
-    /// (demand miss and/or L2 dirty eviction), at most two.
-    pub fn filter(&mut self, line: u64, kind: AccessKind) -> Vec<(u64, AccessKind)> {
-        let mut out = Vec::new();
-        let o1 = self.l1.access(line, kind);
-        if o1.hit {
-            return out;
-        }
-        // L1 victim writes back into L2.
-        if let Some(ev) = o1.evicted {
-            if ev.dirty {
-                let o2 = self.l2.access(ev.line, AccessKind::Write);
-                if !o2.hit {
-                    // L2 fill for the victim may itself evict dirty data.
-                    out.push((ev.line, AccessKind::Read));
-                }
-                if let Some(e2) = o2.evicted {
-                    if e2.dirty {
-                        out.push((e2.line, AccessKind::Write));
-                    }
-                }
-            }
-        }
-        let o2 = self.l2.access(line, AccessKind::Read);
-        if !o2.hit {
-            out.push((line, AccessKind::Read));
-        }
-        if let Some(e2) = o2.evicted {
-            if e2.dirty {
-                out.push((e2.line, AccessKind::Write));
-            }
-        }
-        out
-    }
-
-    /// L1 statistics.
-    #[must_use]
-    pub fn l1_stats(&self) -> &CacheStats {
-        self.l1.stats()
-    }
-
-    /// L2 statistics.
-    #[must_use]
-    pub fn l2_stats(&self) -> &CacheStats {
-        self.l2.stats()
-    }
-}
-
-impl Default for FrontEnd {
-    fn default() -> FrontEnd {
-        FrontEnd::new()
+        self.slot(line).is_some()
     }
 }
 
@@ -483,10 +373,15 @@ mod tests {
         })
     }
 
+    /// Whether `line` is resident and dirty.
+    fn is_dirty(c: &Cache, line: u64) -> bool {
+        c.slot(line).is_some_and(|i| c.flags[i] & DIRTY != 0)
+    }
+
     #[test]
     fn geometry_helpers() {
         assert_eq!(CacheConfig::llc().sets(), 2048);
-        assert_eq!(CacheConfig::l1d().sets(), 128);
+        assert_eq!(CacheConfig::llc_shared_8mb().sets(), 8192);
         CacheConfig::llc().validate().unwrap();
     }
 
@@ -605,7 +500,7 @@ mod tests {
             true
         });
         assert_eq!(offered, vec![0]);
-        assert!(!c.is_dirty(0), "accepted offer cleans the line");
+        assert!(!is_dirty(&c, 0), "accepted offer cleans the line");
         assert_eq!(c.stats().eager_cleaned, 1);
     }
 
@@ -618,7 +513,7 @@ mod tests {
             c.access(4, AccessKind::Read);
         }
         c.scan_eager(4, 4, |_| false);
-        assert!(c.is_dirty(0));
+        assert!(is_dirty(&c, 0));
         assert_eq!(c.stats().eager_cleaned, 0);
     }
 
@@ -631,7 +526,7 @@ mod tests {
             c.access(4, AccessKind::Read);
         }
         c.scan_eager(4, 4, |_| true);
-        assert!(!c.is_dirty(0));
+        assert!(!is_dirty(&c, 0));
         let out = c.access(0, AccessKind::Write);
         assert!(
             out.eager_rewrite,
@@ -649,22 +544,6 @@ mod tests {
         c.flush(|l| wb.push(l));
         assert_eq!(wb, vec![0]);
         assert!(!c.contains(0) && !c.contains(1));
-    }
-
-    #[test]
-    fn front_end_filters_repeated_accesses() {
-        let mut fe = FrontEnd::new();
-        let first = fe.filter(42, AccessKind::Read);
-        assert_eq!(first, vec![(42, AccessKind::Read)], "cold miss reaches LLC");
-        let second = fe.filter(42, AccessKind::Read);
-        assert!(second.is_empty(), "L1 hit is absorbed");
-    }
-
-    #[test]
-    fn front_end_write_misses_produce_fill() {
-        let mut fe = FrontEnd::new();
-        let out = fe.filter(7, AccessKind::Write);
-        assert_eq!(out, vec![(7, AccessKind::Read)], "write-allocate fill");
     }
 
     #[test]

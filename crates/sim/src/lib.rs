@@ -4,7 +4,7 @@
 //! Cocktail Therapy (MCT) reproduction: an event-driven ReRAM main-memory
 //! model (banks, prioritized read/write/eager queues, write cancellation,
 //! bank-aware slow writes, eager mellow writebacks, wear quota), a
-//! set-associative cache hierarchy with LRU-stack statistics, an
+//! set-associative last-level cache with LRU-stack statistics, an
 //! out-of-order core timing model, and wear/energy accounting.
 //!
 //! The substrate replaces gem5 + NVMain + McPAT/NVSim from the paper

@@ -93,15 +93,6 @@ impl MemCounters {
         self.writes_fast + self.writes_slow + self.writes_quota
     }
 
-    /// Mean demand-read latency in nanoseconds.
-    #[must_use]
-    pub fn mean_read_latency_ns(&self) -> f64 {
-        if self.reads_completed == 0 {
-            return 0.0;
-        }
-        self.read_latency_ps as f64 / self.reads_completed as f64 / 1e3
-    }
-
     /// Named counter values, in declaration order (telemetry snapshots).
     #[must_use]
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
@@ -1129,7 +1120,10 @@ mod tests {
         let done = m.wait_read(id);
         assert_eq!(done, Time::ZERO + MemConfig::default().read_latency());
         assert_eq!(m.counters().reads_completed, 1);
-        assert!(m.counters().mean_read_latency_ns() > 120.0);
+        assert_eq!(
+            m.counters().read_latency_ps,
+            MemConfig::default().read_latency().0
+        );
     }
 
     #[test]

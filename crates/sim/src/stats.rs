@@ -66,31 +66,6 @@ impl Metrics {
         }
     }
 
-    /// Whether every component is a usable normalization denominator:
-    /// finite and strictly positive. (`lifetime_years` may legitimately
-    /// measure infinite on a no-wear window, but an infinite baseline
-    /// cannot anchor a ratio.)
-    #[must_use]
-    pub fn is_valid_baseline(&self) -> bool {
-        [self.ipc, self.lifetime_years, self.energy_j]
-            .iter()
-            .all(|v| v.is_finite() && *v > 0.0)
-    }
-
-    /// Checked normalization: `None` when `base` has any zero, negative,
-    /// or non-finite component, instead of a sentinel-laden ratio.
-    /// Callers that can re-measure (or skip a fit) should prefer this
-    /// over [`Metrics::normalized_to`], which papers over degenerate
-    /// baselines to keep regression targets finite.
-    #[must_use]
-    pub fn try_normalized_to(&self, base: &Metrics) -> Option<Metrics> {
-        if base.is_valid_baseline() {
-            Some(self.normalized_to(base))
-        } else {
-            None
-        }
-    }
-
     /// Element-wise product `self * base` (denormalization). `0 * inf`
     /// products collapse to zero rather than NaN.
     #[must_use]
@@ -308,23 +283,6 @@ mod tests {
         assert!(n.ipc.is_finite() && !n.ipc.is_nan());
         // x == base still means "no change" for the negative case.
         assert_eq!(neg.normalized_to(&neg).ipc, 1.0);
-    }
-
-    #[test]
-    fn try_normalized_rejects_degenerate_baselines() {
-        let x = m(1.0, 4.0, 2.0);
-        let good = m(1.0, 8.0, 10.0);
-        assert!(good.is_valid_baseline());
-        assert_eq!(x.try_normalized_to(&good), Some(x.normalized_to(&good)));
-        for bad in [
-            m(0.0, 8.0, 10.0),
-            m(1.0, -1.0, 10.0),
-            m(1.0, 8.0, f64::NAN),
-            m(f64::INFINITY, 8.0, 10.0),
-        ] {
-            assert!(!bad.is_valid_baseline(), "{bad:?}");
-            assert_eq!(x.try_normalized_to(&bad), None, "{bad:?}");
-        }
     }
 
     #[test]

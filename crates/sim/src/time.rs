@@ -28,12 +28,6 @@ impl Time {
         Time((ns * 1e3).round() as u64)
     }
 
-    /// Construct from picoseconds.
-    #[must_use]
-    pub const fn from_ps(ps: u64) -> Time {
-        Time(ps)
-    }
-
     /// This instant expressed in nanoseconds.
     #[must_use]
     pub fn as_ns(self) -> f64 {
@@ -189,18 +183,6 @@ impl Clock {
     pub fn cycles_f(self, n: f64) -> Duration {
         Duration((n * self.ps_per_cycle as f64).round() as u64)
     }
-
-    /// How many whole cycles of this clock fit in `d`.
-    #[must_use]
-    pub fn cycles_in(self, d: Duration) -> u64 {
-        d.0 / self.ps_per_cycle
-    }
-
-    /// Frequency in hertz.
-    #[must_use]
-    pub fn hz(self) -> f64 {
-        1e12 / self.ps_per_cycle as f64
-    }
 }
 
 #[cfg(test)]
@@ -221,13 +203,6 @@ mod tests {
         assert_eq!(cpu.cycles(4), Duration(2000));
         let mem = Clock::from_mhz(400);
         assert_eq!(mem.ps_per_cycle(), 2500);
-        assert_eq!(mem.cycles_in(Duration(10_000)), 4);
-    }
-
-    #[test]
-    fn clock_hz() {
-        let mem = Clock::from_mhz(400);
-        assert!((mem.hz() - 400e6).abs() < 1.0);
     }
 
     #[test]

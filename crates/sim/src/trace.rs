@@ -121,11 +121,6 @@ impl RecordedTrace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Restart replay from the beginning.
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
-    }
 }
 
 impl AccessSource for RecordedTrace {
@@ -177,15 +172,6 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.events()[2].line, 3);
         assert_eq!(t.mean_gap_hint(), Some(5.0));
-    }
-
-    #[test]
-    fn rewind_restarts() {
-        let mut t =
-            RecordedTrace::new(vec![ev(1, AccessKind::Read, 7), ev(1, AccessKind::Read, 8)]);
-        let _ = t.next_access();
-        t.rewind();
-        assert_eq!(t.next_access().line, 7);
     }
 
     #[test]

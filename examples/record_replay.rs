@@ -1,73 +1,41 @@
-//! Record/replay: run a CPU-level access stream through the L1/L2
-//! front-end once, record the resulting LLC-input trace, and replay it
-//! against several NVM policies.
+//! Record/replay: record one LLC-input trace from a workload generator,
+//! then replay the identical event stream against several NVM policies.
 //!
-//! This is the two-phase methodology that makes brute-force sweeps cheap
-//! (DESIGN.md §2): the L1/L2 behaviour of a fixed instruction stream does
-//! not depend on the NVM configuration, so it is computed once.
+//! Workload generators emit LLC-input accesses (`mct-sim::trace`), so a
+//! recording is exactly what the simulated LLC sees. Replaying it holds the
+//! input fixed while only the memory policy changes.
 //!
 //! ```sh
-//! cargo run --release --example record_replay
+//! cargo run --release --example record_replay [workload]
 //! ```
 
 use memory_cocktail_therapy::framework::NvmConfig;
-use memory_cocktail_therapy::sim::cache::FrontEnd;
-use memory_cocktail_therapy::sim::trace::{AccessKind, RecordedTrace, TraceEvent};
+use memory_cocktail_therapy::sim::trace::RecordedTrace;
 use memory_cocktail_therapy::sim::{System, SystemConfig};
+use memory_cocktail_therapy::workloads::Workload;
 
-/// A toy CPU-level generator: a read sweep, a write sweep (dirty lines
-/// that eventually reach memory), and a hot scratchpad the L1 absorbs.
-fn cpu_level_stream(n: usize) -> Vec<(u64, AccessKind)> {
-    let mut out = Vec::with_capacity(n);
-    let mut read_cursor = 0u64;
-    let mut write_cursor = 0u64;
-    for i in 0..n {
-        match i % 4 {
-            0 => out.push((1_000_000 + (i as u64 % 64), AccessKind::Write)), // scratchpad
-            1 => {
-                write_cursor += 1;
-                out.push((2_000_000 + write_cursor, AccessKind::Write)); // dirty sweep
-            }
-            _ => {
-                read_cursor += 1;
-                out.push((read_cursor, AccessKind::Read));
-            }
-        }
-    }
-    out
-}
+/// Recorded LLC-input events; the first quarter warms the LLC and queues.
+const EVENTS: usize = 200_000;
 
 fn main() {
-    // Phase 1: record. The front-end filters ~CPU-level accesses down to
-    // the (much sparser) LLC-input stream.
-    let cpu_stream = cpu_level_stream(400_000);
-    let mut fe = FrontEnd::new();
-    let mut events = Vec::new();
-    let mut gap = 0u64;
-    for &(line, kind) in &cpu_stream {
-        gap += 12; // ~12 instructions between CPU memory ops
-        for (l, k) in fe.filter(line, kind) {
-            events.push(TraceEvent {
-                gap_insts: gap.max(1),
-                kind: k,
-                line: l,
-            });
-            gap = 0;
-        }
-    }
+    let workload = std::env::args()
+        .nth(1)
+        .and_then(|n| Workload::from_name(&n))
+        .unwrap_or(Workload::Leslie3d);
+    let trace = RecordedTrace::record(&mut workload.source(7), EVENTS);
+    let (warm, measured) = trace.events().split_at(EVENTS / 4);
+    let insts: u64 = measured.iter().map(|ev| ev.gap_insts).sum();
+    let writes = measured.iter().filter(|ev| ev.kind.is_write()).count();
     println!(
-        "recorded {} LLC-input events from {} CPU accesses (L1 hit rate {:.1}%, L2 {:.1}%)",
-        events.len(),
-        cpu_stream.len(),
-        100.0 * fe.l1_stats().hit_rate(),
-        100.0 * fe.l2_stats().hit_rate()
+        "{workload}: recorded {EVENTS} LLC-input events; measuring {} of them \
+         ({insts} instructions, {:.1}% writes)",
+        measured.len(),
+        100.0 * writes as f64 / measured.len() as f64
     );
-    let trace = RecordedTrace::new(events);
 
-    // Phase 2: replay the same trace against different policies.
     println!(
-        "\n{:<28} {:>7} {:>10} {:>9}",
-        "policy", "ipc", "life(y)", "rowhit%"
+        "\n{:<28} {:>7} {:>10} {:>10}",
+        "policy", "ipc", "life(y)", "energy(mJ)"
     );
     for (name, cfg) in [
         ("default", NvmConfig::default_config()),
@@ -82,15 +50,16 @@ fn main() {
         ("static baseline", NvmConfig::static_baseline()),
     ] {
         let mut sys = System::new(SystemConfig::default(), cfg.to_policy());
-        let mut src = trace.clone();
-        let stats = sys.run(&mut src, 2_000_000);
+        sys.run_events(warm);
+        sys.reset_stats();
+        sys.run_events(measured);
+        let stats = sys.finalize();
         println!(
-            "{:<28} {:>7.3} {:>10.2} {:>8.1}%",
+            "{:<28} {:>7.3} {:>10.2} {:>10.3}",
             name,
             stats.ipc(),
             stats.lifetime_years.min(999.0),
-            100.0 * stats.mem.row_hits as f64 / stats.mem.reads_completed.max(1) as f64,
+            stats.energy.total() * 1e3,
         );
     }
-    println!("\nIdentical input stream, different memory policies — the replay half\nof the sweep engine in `mct-experiments`.");
 }
