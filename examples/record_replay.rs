@@ -6,7 +6,7 @@
 //! input fixed while only the memory policy changes.
 //!
 //! ```sh
-//! cargo run --release --example record_replay [workload]
+//! cargo run --release --example record_replay
 //! ```
 
 use memory_cocktail_therapy::framework::NvmConfig;
@@ -18,10 +18,7 @@ use memory_cocktail_therapy::workloads::Workload;
 const EVENTS: usize = 200_000;
 
 fn main() {
-    let workload = std::env::args()
-        .nth(1)
-        .and_then(|n| Workload::from_name(&n))
-        .unwrap_or(Workload::Leslie3d);
+    let workload = Workload::Leslie3d;
     let trace = RecordedTrace::record(&mut workload.source(7), EVENTS);
     let (warm, measured) = trace.events().split_at(EVENTS / 4);
     let insts: u64 = measured.iter().map(|ev| ev.gap_insts).sum();
@@ -34,8 +31,8 @@ fn main() {
     );
 
     println!(
-        "\n{:<28} {:>7} {:>10} {:>10}",
-        "policy", "ipc", "life(y)", "energy(mJ)"
+        "\n{:<28} {:>7} {:>10} {:>9}",
+        "policy", "ipc", "life(y)", "rowhit%"
     );
     for (name, cfg) in [
         ("default", NvmConfig::default_config()),
@@ -55,11 +52,11 @@ fn main() {
         sys.run_events(measured);
         let stats = sys.finalize();
         println!(
-            "{:<28} {:>7.3} {:>10.2} {:>10.3}",
+            "{:<28} {:>7.3} {:>10.2} {:>8.1}%",
             name,
             stats.ipc(),
             stats.lifetime_years.min(999.0),
-            stats.energy.total() * 1e3,
+            100.0 * stats.mem.row_hits as f64 / stats.mem.reads_completed.max(1) as f64,
         );
     }
 }
