@@ -32,7 +32,8 @@
 //! parameters that determine them.
 //!
 //! Work that is not a sweep grain — Figures 7–9's controller runs,
-//! Figure 10's mix units, the extension study's grains — goes through
+//! Figure 10's six mix units (one batch, each unit serial on its
+//! worker), the extension study's grains — goes through
 //! [`Store::get_or_compute_many`] on either shard type, so Figures 7–10
 //! and the extensions run on the pool rather than the caller's thread.
 //! It and [`load_or_compute_sweeps`] share one batch lookup: look up

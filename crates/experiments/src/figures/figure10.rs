@@ -31,10 +31,9 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 
     // Mix runs warm an 8 MB shared LLC each — by far the most expensive
     // derived results, so all three policy outcomes are cached as one
-    // unit. Units run one per batch: pooling all six cuts Figure 10 from
-    // ~0.70 s to ~0.39 s of a cold smoke pass, but two live mix rigs
-    // raise its peak RSS by ~22 %, and a batch of one leaves the pool to
-    // the unit's 32-sample round.
+    // unit. The six units are one round: a worker runs a whole unit,
+    // its warmup and its 32 MCT samples serially, so each worker holds
+    // one mix rig and one measurement clone at a time.
     let units: Vec<(u64, Mix)> = Mix::all()
         .into_iter()
         .map(|m| {
@@ -43,12 +42,8 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         })
         .collect();
     let store = derived_store(scale, EXPERIMENT_SEED);
-    let outcomes: Vec<[MixOutcome; 3]> = units
-        .chunks(1)
-        .flat_map(|unit| {
-            store.get_or_compute_many(unit, |&m| run_mix_all(m, scale, EXPERIMENT_SEED, 8.0))
-        })
-        .collect();
+    let outcomes: Vec<[MixOutcome; 3]> =
+        store.get_or_compute_many(&units, |&m| run_mix_all(m, scale, EXPERIMENT_SEED, 8.0));
     let mut fig = Table::new([
         "mix",
         "ipc(def)/static",

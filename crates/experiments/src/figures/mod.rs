@@ -15,9 +15,9 @@
 //! Figures 7–8's deployment re-measures, Figure 10's mix units and the
 //! extension grains — through one batch lookup
 //! ([`crate::cache::Store::get_or_compute_many`]) whose misses run on
-//! the grain pool. Figure 10's mix units are batches of one: each
-//! unit's 32-sample round takes the whole pool, and no two 8 MB mix
-//! LLCs are live at once.
+//! the grain pool. Figure 10's six mix units are one batch, and each
+//! unit measures its 32 MCT samples serially on the worker that claimed
+//! it, so a worker holds one 8 MB mix LLC (and one clone) at a time.
 
 use std::io::{self, Write};
 

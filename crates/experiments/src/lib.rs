@@ -44,7 +44,7 @@ pub use cache::{
     load_or_compute_sweep, load_or_compute_sweeps, SweepDataset, SweepRequest, CACHE_VERSION,
 };
 pub use ideal::{ideal_for, IdealSearch};
-pub use mix_mct::{run_mix_all, run_mix_mct};
+pub use mix_mct::run_mix_all;
 pub use report::{fmt_cell, Table};
 pub use runner::{shared_rig, RigCell, WarmedRig, EXPERIMENT_SEED};
 pub use scale::{Scale, ScaleArgError};

@@ -17,11 +17,10 @@ use mct_sim::system::{MultiSystem, SystemConfig};
 use mct_workloads::{Mix, WorkloadSource};
 
 use crate::scale::Scale;
-use crate::sched::{default_workers, run_grains};
 
 /// Which policy a mix run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MixPolicy {
+enum MixPolicy {
     /// The paper's `default` (fast writes only).
     Default,
     /// The best static policy.
@@ -92,20 +91,6 @@ fn warm_rig(mix: Mix, seed: u64) -> WarmMix {
     WarmMix::new(mix, seed, 2_000_000)
 }
 
-/// Run one mix under the given policy; `target_years` parameterizes the
-/// objective (and the static/fixup quota).
-#[must_use]
-pub fn run_mix_mct(
-    mix: Mix,
-    policy: MixPolicy,
-    scale: Scale,
-    seed: u64,
-    target_years: f64,
-) -> MixOutcome {
-    let rig = warm_rig(mix, seed);
-    run_on_rig(&rig, policy, scale, seed, target_years)
-}
-
 fn run_on_rig(
     rig: &WarmMix,
     policy: MixPolicy,
@@ -130,12 +115,12 @@ fn run_on_rig(
             let unit = (detailed / 16).max(10_000);
             let (baseline, _, _) =
                 rig.measure(&NvmConfig::static_baseline().without_wear_quota(), unit);
+            // Serial on the worker that owns this mix unit: Figure 10's
+            // units are the pool round, so each worker holds one warmed
+            // mix rig and one measurement clone at a time.
             let measured: Vec<(NvmConfig, Metrics)> = samples
                 .iter()
-                .copied()
-                .zip(run_grains(&samples, default_workers(), |c| {
-                    rig.measure(c, unit).0
-                }))
+                .map(|c| (*c, rig.measure(c, unit).0))
                 .collect();
             let mut predictor = MetricsPredictor::new(ModelKind::GradientBoosting);
             predictor.fit(&measured, Some(baseline));
@@ -163,12 +148,20 @@ fn run_on_rig(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
+
+    /// Mix1's default, static and MCT outcomes from one warmed rig,
+    /// shared by the tests below.
+    fn mix1() -> &'static [MixOutcome; 3] {
+        static OUTCOMES: OnceLock<[MixOutcome; 3]> = OnceLock::new();
+        OUTCOMES.get_or_init(|| run_mix_all(Mix::Mix1, Scale::Quick, 9, 8.0))
+    }
 
     #[test]
     fn static_policy_meets_target_where_default_does_not() {
-        let default = run_mix_mct(Mix::Mix1, MixPolicy::Default, Scale::Quick, 9, 8.0);
-        let staticp = run_mix_mct(Mix::Mix1, MixPolicy::Static, Scale::Quick, 9, 8.0);
+        let [default, staticp, _] = mix1();
         assert!(default.geomean_ipc > 0.0 && staticp.geomean_ipc > 0.0);
         assert!(
             staticp.lifetime_years > default.lifetime_years,
@@ -180,7 +173,7 @@ mod tests {
 
     #[test]
     fn mct_selects_and_measures() {
-        let mct = run_mix_mct(Mix::Mix3, MixPolicy::Mct, Scale::Quick, 9, 8.0);
+        let [_, _, mct] = mix1();
         assert!(mct.geomean_ipc > 0.0);
         mct.config.validate().unwrap();
         assert!(mct.config.wear_quota, "fixup expected");

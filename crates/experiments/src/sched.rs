@@ -18,11 +18,10 @@
 //! output order — and therefore every downstream figure — is identical
 //! no matter which worker claimed which grain.
 //!
-//! Rounds may nest: a Figure 10 mix unit, run as a one-grain round,
-//! spreads its 32 MCT samples over the pool as a round of its own. A
-//! round whose grains started rounds records only its executed counts;
-//! the inner rounds record the time, so no worker's busy or wall time
-//! is counted twice.
+//! Rounds do not nest: a grain runs serially on the worker that claimed
+//! it, so a unit with inner work (a Figure 10 mix unit and its 32 MCT
+//! samples) is one grain, and each worker's busy and wall time is
+//! counted once. Debug builds assert this.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -103,9 +102,19 @@ pub fn workers_plan(env: Option<&str>) -> WorkersPlan {
 }
 
 thread_local! {
-    /// Rounds started on this thread: a worker compares it before and
-    /// after its grains to tell whether they started rounds of their own.
-    static ROUNDS_STARTED: Cell<u64> = const { Cell::new(0) };
+    /// Whether this thread is a worker inside a round: a grain that
+    /// started a round of its own would count its worker's time twice.
+    static IN_GRAIN: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Clears [`IN_GRAIN`] when a worker's loop ends, a panic included, so
+/// the caller's thread can start rounds again afterwards.
+struct LeaveGrain;
+
+impl Drop for LeaveGrain {
+    fn drop(&mut self) {
+        IN_GRAIN.set(false);
+    }
 }
 
 /// Run `f` over every item on `workers` threads and return the results
@@ -130,22 +139,17 @@ where
     out
 }
 
-/// Write one round's counts into `registry`. A round whose grains
-/// started rounds of their own records only its executed counts: those
-/// inner rounds record the busy and wall time it spans.
+/// Write one round's counts into `registry`.
 fn record_round(registry: &mut Registry, tallies: &[WorkerTally]) {
     registry.incr("pipeline.sched_rounds", 1);
     let executed = tallies.iter().map(|t| t.executed).sum();
     registry.incr("pipeline.grains_executed", executed);
-    let nested = tallies.iter().any(|t| t.nested);
     for (i, t) in tallies.iter().enumerate() {
         let index = i.to_string();
         let worker = [("worker", index.as_str())];
         registry.incr_with("pipeline.worker.executed", &worker, t.executed);
-        if !nested {
-            registry.incr_with("pipeline.worker.busy_us", &worker, t.busy_us);
-            registry.incr_with("pipeline.worker.wall_us", &worker, t.wall_us);
-        }
+        registry.incr_with("pipeline.worker.busy_us", &worker, t.busy_us);
+        registry.incr_with("pipeline.worker.wall_us", &worker, t.wall_us);
     }
 }
 
@@ -158,8 +162,6 @@ pub(crate) struct WorkerTally {
     pub(crate) busy_us: u64,
     /// Microseconds from worker start to worker exit.
     pub(crate) wall_us: u64,
-    /// Whether this worker's grains started scheduler rounds.
-    pub(crate) nested: bool,
 }
 
 /// The crate's one thread pool: results in input order plus one tally
@@ -169,6 +171,9 @@ pub(crate) struct WorkerTally {
 /// end. The caller runs worker 0's loop itself beside `workers − 1`
 /// scoped threads; a panic in any of them reaches the caller once the
 /// rest have drained the cursor.
+///
+/// # Panics
+/// In debug builds, if called from inside a grain: rounds do not nest.
 pub(crate) fn run_grains_tallied<T, R, F>(
     items: &[T],
     workers: usize,
@@ -183,10 +188,11 @@ where
     if n == 0 {
         return (Vec::new(), Vec::new());
     }
-    ROUNDS_STARTED.set(ROUNDS_STARTED.get() + 1);
+    debug_assert!(!IN_GRAIN.get(), "a grain started a scheduler round");
     let cursor = AtomicUsize::new(0);
     let work = || {
-        let rounds = ROUNDS_STARTED.get();
+        IN_GRAIN.set(true);
+        let _leave = LeaveGrain;
         let wall = Instant::now();
         let mut tally = WorkerTally::default();
         let mut done: Vec<(usize, R)> = Vec::new();
@@ -203,7 +209,6 @@ where
             tally.executed += 1;
         }
         tally.wall_us = wall.elapsed().as_micros() as u64;
-        tally.nested = ROUNDS_STARTED.get() != rounds;
         (tally, done)
     };
     let per_worker: Vec<(WorkerTally, Vec<(usize, R)>)> = std::thread::scope(|scope| {
@@ -268,39 +273,10 @@ mod tests {
     }
 
     #[test]
-    fn a_round_whose_grains_start_rounds_counts_time_once() {
-        // Figure 10's shape: a one-grain round whose grain does serial
-        // work, then runs a pooled inner round. Only the inner round's
-        // time reaches the worker series; the outer grain still counts.
-        let inner_items: Vec<u32> = (0..8).collect();
-        let (inner, outer) = run_grains_tallied(&[()], 2, |()| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            run_grains_tallied(&inner_items, 2, |&x| {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                x
-            })
-            .1
-        });
-        let inner = &inner[0];
-        assert!(outer[0].nested && outer[0].wall_us > 0);
-        assert!(inner.iter().all(|t| !t.nested));
-        let mut registry = Registry::new();
-        record_round(&mut registry, &outer);
-        record_round(&mut registry, inner);
-        assert_eq!(registry.counter("pipeline.sched_rounds"), 2);
-        assert_eq!(registry.counter("pipeline.grains_executed"), 1 + 8);
-        for (i, t) in inner.iter().enumerate() {
-            let index = i.to_string();
-            let worker = [("worker", index.as_str())];
-            let count = |name| registry.counter_with(name, &worker);
-            assert_eq!(count("pipeline.worker.busy_us"), t.busy_us, "worker {i}");
-            assert_eq!(count("pipeline.worker.wall_us"), t.wall_us, "worker {i}");
-            let outer_executed = u64::from(i == 0);
-            assert_eq!(
-                count("pipeline.worker.executed"),
-                t.executed + outer_executed
-            );
-        }
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a grain started a scheduler round")]
+    fn a_grain_that_starts_a_round_panics() {
+        let _ = run_grains_tallied(&[()], 1, |()| run_grains_tallied(&[1u32], 1, |&x| x));
     }
 
     #[test]
