@@ -1025,8 +1025,8 @@ impl Controller {
     }
 
     /// Attach a telemetry recorder for decision traces and registry
-    /// metrics. The default is a disabled [`mct_telemetry::NullRecorder`],
-    /// which skips all instrumentation work.
+    /// metrics. Without one the controller's telemetry is disabled and
+    /// skips all instrumentation work.
     #[must_use]
     pub fn with_recorder(mut self, handle: RecorderHandle) -> Controller {
         self.telemetry = Telemetry::attached(handle);

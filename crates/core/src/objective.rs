@@ -33,12 +33,6 @@ impl Metric {
             Metric::Energy => m.energy_j,
         }
     }
-
-    /// Whether larger values are better.
-    #[must_use]
-    pub fn higher_is_better(self) -> bool {
-        !matches!(self, Metric::Energy)
-    }
 }
 
 /// A hard constraint over one metric.
@@ -292,7 +286,5 @@ mod tests {
         assert_eq!(Metric::Ipc.of(&x), 1.0);
         assert_eq!(Metric::Lifetime.of(&x), 2.0);
         assert_eq!(Metric::Energy.of(&x), 3.0);
-        assert!(Metric::Ipc.higher_is_better());
-        assert!(!Metric::Energy.higher_is_better());
     }
 }

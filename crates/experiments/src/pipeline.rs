@@ -6,7 +6,7 @@
 //! as an [`Event::MetricsRegistry`] record to the pipeline trace under
 //! the data dir. `mct report` renders the counters (scheduler rounds and
 //! per-worker series, cache hits and discards, warm-rig accounting) and
-//! `mct metrics` exposes them in the Prometheus text format; the last
+//! `mct metrics` prints the last record's registry on its own; the last
 //! record is the whole run's picture, since the counters only grow.
 
 use std::fs;

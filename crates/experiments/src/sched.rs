@@ -435,10 +435,11 @@ mod tests {
         });
         assert!(counter("pipeline.worker.executed", &worker0) - executed >= 5);
         assert!(counter("pipeline.worker.wall_us", &worker0) > wall);
-        let exposition = mct_telemetry::render_prometheus(&pipeline_stats().registry().snapshot());
+        // The typed snapshot reads the same series back into worker rows.
+        let workers = pipeline_stats().snapshot().workers;
         assert!(
-            exposition.contains("mct_pipeline_worker_executed_total{worker=\"0\"}"),
-            "{exposition}"
+            workers.first().is_some_and(|w| w.executed >= executed + 5),
+            "{workers:?}"
         );
     }
 
@@ -448,12 +449,11 @@ mod tests {
 
     /// Every reason recorded under `pipeline.workers_fallback`.
     fn fallback_reasons() -> Vec<String> {
-        let counters = pipeline_stats().registry().snapshot().counters;
-        counters
-            .iter()
-            .filter_map(|(series, _)| mct_telemetry::expose::parse_series(series))
-            .filter(|key| key.name == "pipeline.workers_fallback")
-            .flat_map(|key| key.labels.into_iter().map(|(_, reason)| reason))
+        pipeline_stats()
+            .registry()
+            .counters()
+            .filter(|(key, _)| key.name == "pipeline.workers_fallback")
+            .filter_map(|(key, _)| key.label("reason").map(str::to_string))
             .collect()
     }
 }

@@ -87,15 +87,6 @@ impl Dataset {
         }
     }
 
-    /// Map every feature row through `f` (e.g. quadratic expansion).
-    #[must_use]
-    pub fn map_features<F: Fn(&[f64]) -> Vec<f64>>(&self, f: F) -> Dataset {
-        Dataset {
-            rows: self.rows.iter().map(|r| f(r)).collect(),
-            targets: self.targets.clone(),
-        }
-    }
-
     /// Mean of the targets.
     #[must_use]
     pub fn target_mean(&self) -> f64 {
@@ -128,13 +119,6 @@ mod tests {
         let d = data().subset(&[2, 0]);
         assert_eq!(d.targets(), &[3.0, 1.0]);
         assert_eq!(d.rows()[0], vec![5.0, 6.0]);
-    }
-
-    #[test]
-    fn map_features_transforms() {
-        let d = data().map_features(|r| vec![r[0] + r[1]]);
-        assert_eq!(d.dim(), 1);
-        assert_eq!(d.rows()[2], vec![11.0]);
     }
 
     #[test]

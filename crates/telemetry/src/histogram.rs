@@ -21,9 +21,6 @@ use std::collections::BTreeMap;
 /// a worst-case relative quantile error of `2^(1/64) - 1 ≈ 1.1%`.
 pub const SUBBUCKETS_PER_OCTAVE: i32 = 32;
 
-/// The quantiles every summary reports, in ascending order.
-pub const SUMMARY_QUANTILES: [f64; 4] = [0.5, 0.9, 0.99, 0.999];
-
 /// A log-bucketed histogram: sparse bucket counts plus exact
 /// count/sum/min/max moments.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -203,17 +200,6 @@ impl HistogramSummary {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// The standard quantiles as `(q, value)` pairs, in ascending order.
-    #[must_use]
-    pub fn quantiles(&self) -> [(f64, f64); 4] {
-        [
-            (0.5, self.p50),
-            (0.9, self.p90),
-            (0.99, self.p99),
-            (0.999, self.p999),
-        ]
     }
 }
 

@@ -1,6 +1,6 @@
 //! Structured decision-trace telemetry for the MCT runtime.
 //!
-//! Three pieces, one contract:
+//! Five pieces, one contract:
 //!
 //! - [`event`]: the typed trace — the controller's state transitions
 //!   (carried opaquely; mct-core owns their type and renders them), span
@@ -19,21 +19,19 @@
 //!   [`Registry`] — scheduler grains (executed, per-worker
 //!   series), measurement-cache hits and discards, and warm-rig snapshot
 //!   reuse — with a typed read view;
-//! - [`recorder`]: the sinks — [`NullRecorder`] (the default; disabled
-//!   and free), [`JsonlRecorder`] (one JSON event per line), and
-//!   [`VecRecorder`] (in-memory, for tests) — behind the [`Telemetry`]
-//!   session handle whose cached `enabled()` flag gates every
-//!   instrumentation site.
+//! - [`recorder`]: the sinks — [`JsonlRecorder`] (one JSON event per
+//!   line) and [`VecRecorder`] (in-memory, for tests) — behind the
+//!   [`Telemetry`] session handle; a session with no sink attached is
+//!   disabled, and its `enabled()` check gates every instrumentation
+//!   site.
 //!
 //! [`report`] parses a trace file and renders its non-controller parts
-//! (`mct report <trace.jsonl>` prepends mct-core's decision timeline);
-//! [`profile`] aggregates a
-//! span-bearing trace into a profile tree (`mct profile <trace.jsonl>`);
-//! [`expose`] renders a registry snapshot in the Prometheus text format
-//! (`mct metrics`, `mct run --metrics-out`).
+//! (`mct report <trace.jsonl>` prepends mct-core's decision timeline),
+//! including the plain-text registry block that `mct metrics` prints on
+//! its own; [`profile`] aggregates a span-bearing trace into a profile
+//! tree (`mct profile <trace.jsonl>`).
 
 pub mod event;
-pub mod expose;
 pub mod histogram;
 pub mod pipeline;
 pub mod profile;
@@ -43,13 +41,10 @@ pub mod report;
 pub mod span;
 
 pub use event::{Event, Record};
-pub use expose::render_prometheus;
 pub use histogram::{HistogramSummary, LogHistogram};
 pub use pipeline::{pipeline_stats, PipelineSnapshot, PipelineStats, WorkerStat};
 pub use profile::{render_collapsed, render_tree, SpanProfile};
-pub use recorder::{
-    null_recorder, JsonlRecorder, NullRecorder, Recorder, RecorderHandle, Telemetry, VecRecorder,
-};
+pub use recorder::{JsonlRecorder, Recorder, RecorderHandle, Telemetry, VecRecorder};
 pub use registry::{Registry, RegistrySnapshot, SeriesKey};
-pub use report::{parse_jsonl, parse_jsonl_tolerant, render_report_with_unknown};
+pub use report::{parse_jsonl_tolerant, render_registry, render_report_with_unknown};
 pub use span::{SpanGuard, SpanId};

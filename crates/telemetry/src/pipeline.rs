@@ -11,12 +11,12 @@
 //! `pipeline.workers_fallback{reason="..."}` when `MCT_WORKERS` was
 //! rejected. The experiment binaries append the registry's snapshot to
 //! their trace as an [`Event::MetricsRegistry`](crate::Event) record,
-//! which `mct report` and `mct metrics` render like any other registry.
+//! which `mct report` and `mct metrics` render like any other registry
+//! (through [`render_registry`](crate::render_registry)).
 //! [`PipelineStats::snapshot`] is a typed read view of the same series.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use crate::expose::parse_series;
 use crate::registry::Registry;
 
 /// One scheduler worker's series, summed over every round.
@@ -118,7 +118,7 @@ impl PipelineStats {
     }
 
     /// Read the pipeline series into a typed snapshot; the per-worker
-    /// rows are rebuilt from the labeled `pipeline.worker.*` series.
+    /// rows are read from the labeled `pipeline.worker.*` series' keys.
     #[must_use]
     pub fn snapshot(&self) -> PipelineSnapshot {
         let registry = self.registry();
@@ -137,19 +137,11 @@ impl PipelineStats {
             snapshot_bytes: counter("pipeline.snapshot_bytes"),
             workers: Vec::new(),
         };
-        for (series, value) in registry.snapshot().counters {
-            let Some(key) = parse_series(&series) else {
-                continue;
-            };
+        for (key, value) in registry.counters() {
             let Some(field) = key.name.strip_prefix("pipeline.worker.") else {
                 continue;
             };
-            let Some(i) = key
-                .labels
-                .iter()
-                .find(|(k, _)| k == "worker")
-                .and_then(|(_, v)| v.parse::<usize>().ok())
-            else {
+            let Some(i) = key.label("worker").and_then(|v| v.parse::<usize>().ok()) else {
                 continue;
             };
             if snap.workers.len() <= i {

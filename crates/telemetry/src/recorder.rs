@@ -1,9 +1,10 @@
 //! Recorder sinks and the [`Telemetry`] session handle.
 //!
-//! The contract is zero-cost-when-disabled: the controller caches
-//! [`Telemetry::enabled`] once and skips event construction (and any
-//! telemetry-only computation, like cross-validation error) entirely when
-//! the sink is a [`NullRecorder`].
+//! The contract is zero-cost-when-disabled: a session with no recorder
+//! attached ([`Telemetry::disabled`], the default) answers
+//! [`Telemetry::enabled`] with `false`, and instrumented code skips event
+//! construction (and any telemetry-only computation, like
+//! cross-validation error) entirely.
 
 use crate::event::{Event, Record};
 use crate::registry::Registry;
@@ -27,13 +28,6 @@ fn lock_recorder(handle: &RecorderHandle) -> MutexGuard<'_, dyn Recorder + 'stat
 /// A telemetry sink. Implementations receive fully-formed [`Record`]s and
 /// own the counters/histograms [`Registry`].
 pub trait Recorder: Send {
-    /// Whether events should be constructed at all. Instrumented code must
-    /// check this (via [`Telemetry::enabled`]) before doing any
-    /// telemetry-only work.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Consume one record.
     fn record(&mut self, record: &Record);
 
@@ -46,30 +40,6 @@ pub trait Recorder: Send {
 
 /// Shared handle to a recorder; cheap to clone, locked per emission.
 pub type RecorderHandle = Arc<Mutex<dyn Recorder>>;
-
-/// Discards everything; reports `enabled() == false`.
-#[derive(Debug, Default)]
-pub struct NullRecorder {
-    registry: Registry,
-}
-
-impl Recorder for NullRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _record: &Record) {}
-
-    fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
-    }
-}
-
-/// A fresh disabled recorder handle — the default wiring.
-#[must_use]
-pub fn null_recorder() -> RecorderHandle {
-    Arc::new(Mutex::new(NullRecorder::default()))
-}
 
 /// Keeps records in memory; the sink used by tests.
 #[derive(Debug, Default)]
@@ -198,14 +168,14 @@ impl Drop for JsonlRecorder {
     }
 }
 
-/// The runtime's telemetry session: a recorder handle plus the envelope
-/// state (sequence counter, wall-clock origin, cached enabled flag).
+/// The runtime's telemetry session: an optional recorder handle plus the
+/// envelope state (sequence counter, wall-clock origin, open spans).
 ///
-/// `Telemetry::default()` is fully disabled and costs one branch per
-/// instrumentation site.
+/// `Telemetry::default()` has no recorder: it is fully disabled and
+/// costs one branch per instrumentation site.
 pub struct Telemetry {
-    handle: RecorderHandle,
-    enabled: bool,
+    /// The attached sink; `None` is the disabled session.
+    handle: Option<RecorderHandle>,
     seq: u64,
     origin: Instant,
     spans: SpanStack,
@@ -220,42 +190,46 @@ impl Default for Telemetry {
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("enabled", &self.enabled)
+            .field("enabled", &self.enabled())
             .field("seq", &self.seq)
             .finish()
     }
 }
 
 impl Telemetry {
-    /// A no-op session around a [`NullRecorder`].
+    /// A no-op session: no recorder, nothing allocated.
     #[must_use]
     pub fn disabled() -> Self {
         Telemetry {
-            handle: null_recorder(),
-            enabled: false,
+            handle: None,
             seq: 0,
             origin: Instant::now(),
             spans: SpanStack::default(),
         }
     }
 
-    /// Attach to a recorder; caches its `enabled()` answer.
+    /// A session that sends every event to `handle`.
     #[must_use]
     pub fn attached(handle: RecorderHandle) -> Self {
-        let enabled = lock_recorder(&handle).enabled();
         Telemetry {
-            handle,
-            enabled,
-            seq: 0,
-            origin: Instant::now(),
-            spans: SpanStack::default(),
+            handle: Some(handle),
+            ..Telemetry::disabled()
         }
     }
 
-    /// Cached enabled flag — the gate every instrumentation site checks.
+    /// Whether a recorder is attached — the gate every instrumentation
+    /// site checks.
     #[must_use]
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.handle.is_some()
+    }
+
+    /// Run `f` on the attached recorder under its lock; `None` without
+    /// calling `f` when disabled.
+    fn with_recorder<R>(&self, f: impl FnOnce(&mut dyn Recorder) -> R) -> Option<R> {
+        self.handle
+            .as_ref()
+            .map(|handle| f(&mut *lock_recorder(handle)))
     }
 
     /// Emit one record with an explicit wall timestamp (so span open and
@@ -268,16 +242,16 @@ impl Telemetry {
             event,
         };
         self.seq += 1;
-        let mut guard = lock_recorder(&self.handle);
-        guard
-            .registry_mut()
-            .incr(&format!("events.{}", record.event.kind()), 1);
-        guard.record(&record);
+        self.with_recorder(|r| {
+            r.registry_mut()
+                .incr(&format!("events.{}", record.event.kind()), 1);
+            r.record(&record);
+        });
     }
 
     /// Emit one event at simulated-instruction time `sim_insts`.
     pub fn emit(&mut self, sim_insts: u64, event: Event) {
-        if !self.enabled {
+        if !self.enabled() {
             return;
         }
         let wall_us = self.origin.elapsed().as_micros() as u64;
@@ -299,7 +273,7 @@ impl Telemetry {
         sim_insts: u64,
         labels: &[(&str, &str)],
     ) -> SpanGuard {
-        if !self.enabled {
+        if !self.enabled() {
             return SpanGuard::disabled(name);
         }
         let wall_us = self.origin.elapsed().as_micros() as u64;
@@ -328,18 +302,20 @@ impl Telemetry {
     /// the closed span's wall duration in microseconds (0 when disabled
     /// or already closed), so callers time a region through its span.
     pub fn close_span(&mut self, guard: SpanGuard, sim_insts: u64) -> u64 {
-        if !self.enabled || !guard.id().is_some() {
+        if !self.enabled() || !guard.id().is_some() {
             return 0;
         }
         let wall_us = self.origin.elapsed().as_micros() as u64;
         let mut duration_us = 0;
         for span in self.spans.close(guard.id()) {
             duration_us = wall_us.saturating_sub(span.opened_wall_us);
-            lock_recorder(&self.handle).registry_mut().observe_with(
-                "span.wall_us",
-                &[("span", span.name)],
-                duration_us as f64,
-            );
+            self.with_recorder(|r| {
+                r.registry_mut().observe_with(
+                    "span.wall_us",
+                    &[("span", span.name)],
+                    duration_us as f64,
+                );
+            });
             self.emit_at(
                 wall_us,
                 sim_insts,
@@ -354,65 +330,49 @@ impl Telemetry {
 
     /// Bump a registry counter.
     pub fn incr(&mut self, name: &str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
-        lock_recorder(&self.handle).registry_mut().incr(name, delta);
+        self.with_recorder(|r| r.registry_mut().incr(name, delta));
     }
 
     /// Bump a labeled registry counter.
     pub fn incr_with(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        if !self.enabled {
-            return;
-        }
-        lock_recorder(&self.handle)
-            .registry_mut()
-            .incr_with(name, labels, delta);
+        self.with_recorder(|r| r.registry_mut().incr_with(name, labels, delta));
     }
 
     /// Record a histogram observation.
     pub fn observe(&mut self, name: &str, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        lock_recorder(&self.handle)
-            .registry_mut()
-            .observe(name, value);
+        self.with_recorder(|r| r.registry_mut().observe(name, value));
     }
 
     /// Emit one controller state transition of kind `kind` (already
     /// serialized, see [`Event::Transition`]), counted per kind in the
     /// `transitions{kind="<kind>"}` series.
     pub fn transition(&mut self, sim_insts: u64, kind: &str, transition: Content) {
-        if !self.enabled {
+        if !self.enabled() {
             return;
         }
         self.incr_with("transitions", &[("kind", kind)], 1);
         self.emit(sim_insts, Event::Transition(transition));
     }
 
-    /// A snapshot of the attached recorder's registry (empty when
-    /// disabled) — the live view `--metrics-out` renders at exit.
-    #[must_use]
-    pub fn registry_snapshot(&self) -> crate::registry::RegistrySnapshot {
-        lock_recorder(&self.handle).registry_mut().snapshot()
-    }
-
     /// Emit the registry snapshot as a `MetricsRegistry` event and flush.
     /// Any spans still open are closed first so every trace is
     /// well-formed.
     pub fn finish(&mut self, sim_insts: u64) {
-        if !self.enabled {
+        if !self.enabled() {
             return;
         }
         if let Some(root) = self.spans.root_id() {
             self.close_span(SpanGuard { id: root, name: "" }, sim_insts);
         }
         // Flush first so pending write errors land in the snapshot.
-        lock_recorder(&self.handle).flush();
-        let snapshot = lock_recorder(&self.handle).registry_mut().snapshot();
-        self.emit(sim_insts, Event::MetricsRegistry { snapshot });
-        lock_recorder(&self.handle).flush();
+        let snapshot = self.with_recorder(|r| {
+            r.flush();
+            r.registry_mut().snapshot()
+        });
+        if let Some(snapshot) = snapshot {
+            self.emit(sim_insts, Event::MetricsRegistry { snapshot });
+        }
+        self.with_recorder(|r| r.flush());
     }
 }
 
@@ -431,9 +391,11 @@ mod tests {
     fn disabled_session_emits_nothing() {
         let mut t = Telemetry::disabled();
         assert!(!t.enabled());
+        assert!(t.handle.is_none(), "no recorder allocated");
         t.transition(0, "run_completed", sample_transition());
         t.incr("x", 1);
-        assert_eq!(t.registry_snapshot().counters.len(), 0);
+        t.finish(0);
+        assert_eq!(t.seq, 0, "no record was sequenced");
     }
 
     #[test]

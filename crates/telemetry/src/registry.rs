@@ -5,12 +5,12 @@
 //! trace's transitions, which record *what was decided*.
 //!
 //! Every series is keyed by `(name, labels)`, where labels are a small
-//! sorted list of `(key, value)` pairs (`phase`, `learner`, `workload`,
-//! and, once `mct-serve` lands, `tenant`). Label cardinality is bounded:
-//! past [`MAX_LABELED_SERIES`] distinct labeled series, new label sets
-//! collapse into the unlabeled base series and the
-//! `telemetry.labels_dropped` counter — the registry never panics and
-//! never grows without bound, whatever a tenant throws at it.
+//! sorted list of `(key, value)` pairs (`kind`, `span`, `worker`,
+//! `reason`). Label cardinality is bounded: past [`MAX_LABELED_SERIES`]
+//! distinct labeled series, new label sets collapse into the unlabeled
+//! base series and the `telemetry.labels_dropped` counter — the registry
+//! never panics and never grows without bound, whatever label values a
+//! caller passes.
 //! Histograms are log-bucketed ([`crate::histogram::LogHistogram`]) with
 //! p50/p90/p99/p999 readout.
 
@@ -63,9 +63,17 @@ impl SeriesKey {
         }
     }
 
-    /// Canonical rendering: `name` or `name{k="v",k2="v2"}` with
-    /// Prometheus-style escaping of `\`, `"` and newlines in values.
-    /// [`crate::expose::parse_series`] inverts this exactly.
+    /// The value of label `key`, if the series carries it.
+    #[must_use]
+    pub fn label(&self, key: &str) -> Option<&str> {
+        self.labels
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Canonical rendering: `name` or `name{k="v",k2="v2"}` with `\`, `"`
+    /// and newlines in values escaped.
     #[must_use]
     pub fn render(&self) -> String {
         if self.labels.is_empty() {
@@ -186,6 +194,13 @@ impl Registry {
             .map(LogHistogram::summary)
     }
 
+    /// Every counter series with its value, in key order. The
+    /// `telemetry.labels_dropped` count is not among them; see
+    /// [`Registry::labels_dropped`].
+    pub fn counters(&self) -> impl Iterator<Item = (&SeriesKey, u64)> {
+        self.counters.iter().map(|(key, value)| (key, *value))
+    }
+
     /// Label sets dropped at the cardinality cap so far.
     #[must_use]
     pub fn labels_dropped(&self) -> u64 {
@@ -279,23 +294,25 @@ mod tests {
     #[test]
     fn cardinality_cap_drops_to_base_series_without_panicking() {
         let mut r = Registry::new();
-        // A hostile tenant emits unbounded label values.
+        // A caller emits unbounded label values.
         for i in 0..(MAX_LABELED_SERIES + 100) {
-            let v = format!("tenant-{i}");
-            r.incr_with("requests", &[("tenant", &v)], 1);
+            let v = format!("id-{i}");
+            r.incr_with("requests", &[("id", &v)], 1);
         }
         assert_eq!(r.labels_dropped(), 100);
         // The overflow landed in the unlabeled base series.
         assert_eq!(r.counter("requests"), 100);
         // Existing labeled series still accumulate after the cap.
-        r.incr_with("requests", &[("tenant", "tenant-0")], 1);
-        assert_eq!(r.counter_with("requests", &[("tenant", "tenant-0")]), 2);
+        r.incr_with("requests", &[("id", "id-0")], 1);
+        assert_eq!(r.counter_with("requests", &[("id", "id-0")]), 2);
         assert_eq!(r.labels_dropped(), 100);
         let snap = r.snapshot();
         assert!(snap
             .counters
             .iter()
             .any(|(name, v)| name == LABELS_DROPPED && *v == 100));
+        // The typed view lists the series that were admitted, and no more.
+        assert_eq!(r.counters().count(), MAX_LABELED_SERIES + 1);
     }
 
     #[test]
@@ -320,5 +337,8 @@ mod tests {
     fn rendered_keys_escape_label_values() {
         let k = SeriesKey::new("m", &[("path", "a\"b\\c\nd")]);
         assert_eq!(k.render(), "m{path=\"a\\\"b\\\\c\\nd\"}");
+        // The typed key keeps the raw value.
+        assert_eq!(k.label("path"), Some("a\"b\\c\nd"));
+        assert_eq!(k.label("missing"), None);
     }
 }

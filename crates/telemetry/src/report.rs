@@ -4,30 +4,23 @@
 //! crate owns: the metrics registry (the controller's counters, or the
 //! experiment pipeline's) and a span footer. The controller's
 //! transitions are mct-core's to render (its decision timeline, which
-//! `mct report` prints first).
+//! `mct report` prints first). [`render_registry`] is the one rendering
+//! of a registry snapshot; `mct metrics` prints it for a trace's last
+//! snapshot.
 
 use crate::event::{Event, Record};
+use crate::registry::RegistrySnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Parse a JSONL trace. Blank lines are skipped; a malformed line aborts
-/// with its line number.
-pub fn parse_jsonl(text: &str) -> Result<Vec<Record>, String> {
-    let (records, unknown) = parse_jsonl_tolerant(text)?;
-    if let Some((kind, _)) = unknown.iter().next() {
-        return Err(format!("unrecognized event kind {kind:?}"));
-    }
-    Ok(records)
-}
-
 /// Parse a JSONL trace, tolerating records whose event kind this binary
-/// does not know (a trace written by a different `mct` version). Unknown
-/// kinds are skipped and counted; lines that are not valid JSON objects
-/// at all still abort with their line number — that is corruption, not
-/// skew.
+/// does not know (a trace written by a different `mct` version). Blank
+/// lines are skipped. Unknown kinds are skipped and counted; lines that
+/// are not valid JSON objects at all abort with their line number — that
+/// is corruption, not skew.
 ///
 /// Returns the recognized records plus a kind -> count map of what was
-/// skipped, which [`render_report`] surfaces in its footer.
+/// skipped, which [`render_report_with_unknown`] surfaces in its footer.
 pub fn parse_jsonl_tolerant(text: &str) -> Result<(Vec<Record>, BTreeMap<String, u64>), String> {
     let mut records = Vec::new();
     let mut unknown: BTreeMap<String, u64> = BTreeMap::new();
@@ -64,6 +57,33 @@ pub fn parse_jsonl_tolerant(text: &str) -> Result<(Vec<Record>, BTreeMap<String,
     Ok((records, unknown))
 }
 
+/// Render a registry snapshot as plain text: a `--- metrics registry ---`
+/// header, then one line per counter (`name{labels} value`) and per
+/// histogram (count, mean, extrema and, past one observation, p50/p99),
+/// in snapshot order.
+#[must_use]
+pub fn render_registry(snapshot: &RegistrySnapshot) -> String {
+    let mut out = String::from("--- metrics registry ---\n");
+    for (name, value) in &snapshot.counters {
+        let _ = writeln!(out, "  {name:<42} {value}");
+    }
+    for (name, h) in &snapshot.histograms {
+        let _ = write!(
+            out,
+            "  {name:<42} n={} mean={:.1} min={:.1} max={:.1}",
+            h.count,
+            h.mean(),
+            h.min,
+            h.max
+        );
+        if h.count > 1 && h.p50 > 0.0 {
+            let _ = write!(out, " p50={:.1} p99={:.1}", h.p50, h.p99);
+        }
+        out.push('\n');
+    }
+    out
+}
+
 /// Render a trace's registry and span summaries, with a
 /// footer reporting events the parser recognized as valid but could not
 /// type (from [`parse_jsonl_tolerant`]). Controller transitions are
@@ -83,24 +103,8 @@ pub fn render_report_with_unknown(records: &[Record], unknown: &BTreeMap<String,
         match &record.event {
             Event::Transition(_) => {}
             Event::MetricsRegistry { snapshot } => {
-                let _ = writeln!(out, "\n--- metrics registry ---");
-                for (name, value) in &snapshot.counters {
-                    let _ = writeln!(out, "  {name:<42} {value}");
-                }
-                for (name, h) in &snapshot.histograms {
-                    let _ = write!(
-                        out,
-                        "  {name:<42} n={} mean={:.1} min={:.1} max={:.1}",
-                        h.count,
-                        h.mean(),
-                        h.min,
-                        h.max
-                    );
-                    if h.count > 1 && h.p50 > 0.0 {
-                        let _ = write!(out, " p50={:.1} p99={:.1}", h.p50, h.p99);
-                    }
-                    out.push('\n');
-                }
+                out.push('\n');
+                out.push_str(&render_registry(snapshot));
             }
             // Spans are profiled, not narrated: the timeline stays a
             // decision log, and `mct profile` owns the timing view. Fit
@@ -184,24 +188,35 @@ mod tests {
             .iter()
             .map(|r| serde_json::to_string(r).expect("serialize") + "\n")
             .collect();
-        let parsed = parse_jsonl(&jsonl).expect("parse");
+        let (parsed, unknown) = parse_jsonl_tolerant(&jsonl).expect("parse");
+        assert!(unknown.is_empty(), "{unknown:?}");
         assert_eq!(parsed, records);
 
-        let report = render_report_with_unknown(&parsed, &BTreeMap::new());
+        let report = render_report_with_unknown(&parsed, &unknown);
         assert!(report.contains("MCT trace: 4 records"), "{report}");
-        assert!(report.contains("metrics registry"));
         assert!(report.contains("transitions{kind=\"segment_started\"}"));
+        // The report's registry block is `render_registry`'s, verbatim.
+        let Some(Event::MetricsRegistry { snapshot }) = parsed.last().map(|r| &r.event) else {
+            panic!("trace ends with its registry snapshot");
+        };
+        let registry = render_registry(snapshot);
+        assert!(
+            registry.starts_with("--- metrics registry ---\n"),
+            "{registry}"
+        );
+        assert!(report.contains(&format!("\n{registry}")), "{report}");
         // Transitions are mct-core's to narrate.
         assert!(!report.contains("SegmentStarted"), "{report}");
     }
 
     #[test]
     fn parse_rejects_malformed_lines_with_position() {
-        let err = parse_jsonl("{\"seq\":0}\nnot json\n").expect_err("must fail");
-        assert!(
-            err.starts_with("line 1") || err.starts_with("line 2"),
-            "{err}"
-        );
+        let valid = serde_json::to_string(&sample_trace()[0]).expect("serialize");
+        let err = parse_jsonl_tolerant(&format!("{valid}\nnot json\n")).expect_err("must fail");
+        assert!(err.starts_with("line 2"), "{err}");
+        // An envelope with no event is malformed too, not skew.
+        let err = parse_jsonl_tolerant("{\"seq\":0}\n").expect_err("must fail");
+        assert!(err.starts_with("line 1"), "{err}");
     }
 
     #[test]
@@ -217,7 +232,6 @@ mod tests {
             err.starts_with("line 1") && err.contains("recursion limit"),
             "{err}"
         );
-        assert!(parse_jsonl(&deep).is_err());
     }
 
     #[test]
@@ -227,8 +241,9 @@ mod tests {
             "\n{}\n\n",
             serde_json::to_string(&records[0]).expect("serialize")
         );
-        let parsed = parse_jsonl(&jsonl).expect("parse");
+        let (parsed, unknown) = parse_jsonl_tolerant(&jsonl).expect("parse");
         assert_eq!(parsed.len(), 1);
+        assert!(unknown.is_empty(), "{unknown:?}");
     }
 
     #[test]
@@ -270,9 +285,7 @@ mod tests {
         // into the metrics registry, verbatim from an old pipeline trace.
         let old = include_str!("../../../tests/fixtures/pipeline_trace_pre_registry.jsonl");
         let jsonl = format!("{known}\n{future}\n{old}{future}\n");
-        // Strict parsing refuses the future event.
-        assert!(parse_jsonl(&jsonl).is_err());
-        // Tolerant parsing keeps the known record and counts the rest.
+        // The known record is kept and the rest counted by kind.
         let (parsed, unknown) = parse_jsonl_tolerant(&jsonl).expect("tolerant parse");
         assert_eq!(parsed.len(), 1);
         assert_eq!(unknown.get("WarpDriveEngaged"), Some(&2));

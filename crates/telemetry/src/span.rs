@@ -4,14 +4,14 @@
 //! `fit`, a single `health_check` — emitted as a pair of typed
 //! [`Event::SpanOpen`](crate::event::Event) / `SpanClose` records
 //! through the ordinary [`Recorder`](crate::recorder::Recorder) path,
-//! so every existing sink (JSONL, vec, null) carries spans for free.
+//! so every sink (JSONL, vec) carries spans for free.
 //! Nesting is tracked by the emitting session: each open span records
 //! its parent's id, and `mct profile` reassembles the tree post-hoc.
 //!
 //! The contract is the same zero-cost-when-disabled one the rest of the
-//! telemetry layer obeys: with a [`NullRecorder`](crate::NullRecorder)
-//! attached (the default), entering a span is a single branch returning
-//! [`SpanId::NONE`] — no allocation, no clock read, no lock.
+//! telemetry layer obeys: with no recorder attached (the default),
+//! entering a span is a single branch returning [`SpanId::NONE`] — no
+//! allocation, no clock read, no lock.
 
 use serde::{Deserialize, Serialize};
 

@@ -68,18 +68,6 @@ impl WorkloadSource {
         &self.profile
     }
 
-    /// Total instructions this source has emitted gaps for.
-    #[must_use]
-    pub fn emitted_insts(&self) -> u64 {
-        self.total_insts
-    }
-
-    /// Index of the current coarse phase.
-    #[must_use]
-    pub fn current_phase(&self) -> usize {
-        self.phase_idx
-    }
-
     fn advance_phase(&mut self, gap: u64) {
         self.insts_into_phase += gap;
         self.total_insts += gap;
@@ -236,15 +224,15 @@ mod tests {
     #[test]
     fn phases_cycle() {
         let mut s = WorkloadSource::new(profile(), 5);
-        assert_eq!(s.current_phase(), 0);
-        while s.emitted_insts() < 100_000 {
+        assert_eq!(s.phase_idx, 0);
+        while s.total_insts < 100_000 {
             s.next_access();
         }
-        assert_eq!(s.current_phase(), 1);
-        while s.emitted_insts() < 200_000 {
+        assert_eq!(s.phase_idx, 1);
+        while s.total_insts < 200_000 {
             s.next_access();
         }
-        assert_eq!(s.current_phase(), 0, "phases wrap around");
+        assert_eq!(s.phase_idx, 0, "phases wrap around");
     }
 
     #[test]
@@ -273,7 +261,7 @@ mod tests {
         let mut in_burst = 0;
         let mut in_quiet = 0;
         loop {
-            let pos = s.emitted_insts();
+            let pos = s.total_insts;
             if pos >= 100_000 {
                 break;
             }

@@ -22,8 +22,8 @@ use memory_cocktail_therapy::framework::{
 };
 use memory_cocktail_therapy::sim::{FaultPlan, System, SystemConfig};
 use memory_cocktail_therapy::telemetry::{
-    parse_jsonl_tolerant, render_collapsed, render_prometheus, render_report_with_unknown,
-    render_tree, Event, JsonlRecorder, Record, RecorderHandle, SpanProfile, Telemetry, VecRecorder,
+    parse_jsonl_tolerant, render_collapsed, render_registry, render_report_with_unknown,
+    render_tree, Event, JsonlRecorder, Record, SpanProfile,
 };
 use memory_cocktail_therapy::workloads::Workload;
 
@@ -56,7 +56,6 @@ struct RunArgs {
     insts: u64,
     seed: u64,
     trace: Option<String>,
-    metrics_out: Option<String>,
     persist: Option<PersistConfig>,
     quiet: bool,
     /// Fault-plan file, read by the executor.
@@ -124,10 +123,9 @@ struct Spec {
 #[rustfmt::skip]
 const SPECS: &[Spec] = &[
     Spec { name: "run", build: build_run, synopsis: "<workload> [--target YEARS] [--model gb|ql] \
-        [--insts N] [--seed N] [--trace OUT.jsonl] [--metrics-out OUT.prom] [--state-dir DIR] \
-        [--resume] [--quiet]" },
+        [--insts N] [--seed N] [--trace OUT.jsonl] [--state-dir DIR] [--resume] [--quiet]" },
     Spec { name: "chaos", build: build_run, synopsis: "[workload] --plan PLAN.json [--seed N] \
-        [--target YEARS] [--insts N] [--trace OUT.jsonl] [--metrics-out OUT.prom] [--quiet]" },
+        [--target YEARS] [--insts N] [--trace OUT.jsonl] [--quiet]" },
     Spec { name: "report", build: |m| Ok(Command::Report(m.required()?)), synopsis: "<trace.jsonl>" },
     Spec { name: "metrics", build: |m| Ok(Command::Metrics(m.required()?)), synopsis: "<trace.jsonl>" },
     Spec { name: "profile", build: build_profile,
@@ -304,7 +302,6 @@ fn build_run(m: &Matches<'_>) -> Result<Command, UsageError> {
         insts: insts.unwrap_or(3_000_000),
         seed: m.seed()?,
         trace: m.string("--trace"),
-        metrics_out: m.string("--metrics-out"),
         persist,
         quiet: m.has("--quiet"),
         plan,
@@ -382,7 +379,7 @@ fn execute(command: Command) -> Result<(), String> {
             let snapshot = snapshot.ok_or_else(|| {
                 format!("trace {path} has no metrics_registry record (write one with `mct run --trace`)")
             })?;
-            print!("{}", render_prometheus(snapshot));
+            print!("{}", render_registry(snapshot));
         }
         Command::Profile {
             trace,
@@ -488,19 +485,10 @@ fn run(args: &RunArgs) -> Result<(), String> {
     let plan = args.plan.as_deref();
     cfg.fault_plan = plan.map(|path| load_plan(path, seed)).transpose()?;
     let mut controller = Controller::new(cfg, Objective::paper_default(target));
-    // --metrics-out needs a live registry even when no trace file was
-    // asked for; an in-memory recorder serves that case.
-    let handle: Option<RecorderHandle> = match (&args.trace, &args.metrics_out) {
-        (Some(path), _) => Some(
-            JsonlRecorder::create(Path::new(path))
-                .map_err(|e| format!("cannot create trace file {path}: {e}"))?
-                .handle(),
-        ),
-        (None, Some(_)) => Some(VecRecorder::shared()),
-        (None, None) => None,
-    };
-    if let Some(h) = &handle {
-        controller = controller.with_recorder(h.clone());
+    if let Some(path) = &args.trace {
+        let recorder = JsonlRecorder::create(Path::new(path))
+            .map_err(|e| format!("cannot create trace file {path}: {e}"))?;
+        controller = controller.with_recorder(recorder.handle());
     }
     match plan {
         _ if args.quiet => {}
@@ -532,14 +520,6 @@ fn run(args: &RunArgs) -> Result<(), String> {
     if let (Some(path), false) = (&args.trace, args.quiet) {
         let kind = plan.map_or("decision", |_| "degradation");
         println!("{kind} trace written to {path} (render with `mct report {path}`)");
-    }
-    if let (Some(out), Some(h)) = (&args.metrics_out, handle) {
-        let snapshot = Telemetry::attached(h).registry_snapshot();
-        std::fs::write(out, render_prometheus(&snapshot))
-            .map_err(|e| format!("cannot write metrics file {out}: {e}"))?;
-        if !args.quiet {
-            println!("registry metrics written to {out} (Prometheus text format)");
-        }
     }
     Ok(())
 }
@@ -586,7 +566,6 @@ mod tests {
             insts: 3_000_000,
             seed: 2017,
             trace: None,
-            metrics_out: None,
             persist: None,
             quiet: false,
             plan: None,
@@ -761,14 +740,7 @@ mod tests {
         let chaos = SPECS.iter().find(|s| s.name == "chaos").unwrap();
         let (positionals, flags) = grammar(chaos.synopsis);
         assert_eq!(positionals, 1);
-        let values = [
-            "--plan",
-            "--seed",
-            "--target",
-            "--insts",
-            "--trace",
-            "--metrics-out",
-        ];
+        let values = ["--plan", "--seed", "--target", "--insts", "--trace"];
         let mut want: Vec<_> = values.iter().map(|f| (*f, true)).collect();
         want.push(("--quiet", false));
         assert_eq!(flags, want);

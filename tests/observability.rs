@@ -1,14 +1,14 @@
 //! End-to-end observability: a seeded traced run must yield a span tree
-//! whose root covers the run wall time, a Prometheus exposition that
-//! survives a strict lexer, and a report that narrates rather than
-//! floods.
+//! whose root covers the run wall time, a registry whose plain-text
+//! rendering carries the span durations, and a report that narrates
+//! rather than floods.
 
 use memory_cocktail_therapy::framework::{
     render_timeline, trace_transitions, Controller, ControllerConfig, ModelKind, Objective,
 };
 use memory_cocktail_therapy::telemetry::{
-    expose::validate_prometheus, parse_jsonl_tolerant, render_collapsed, render_prometheus,
-    render_report_with_unknown, render_tree, Event, JsonlRecorder, SpanProfile,
+    parse_jsonl_tolerant, render_collapsed, render_registry, render_report_with_unknown,
+    render_tree, Event, JsonlRecorder, SpanProfile,
 };
 use memory_cocktail_therapy::workloads::Workload;
 
@@ -71,7 +71,7 @@ fn traced_run_profiles_and_exposes() {
         weight.parse::<u64>().expect("integer self-time weight");
     }
 
-    // --- Prometheus exposition round-trips through the strict lexer. ---
+    // --- The registry renders as `mct metrics` prints it. ---
     let snapshot = records
         .iter()
         .rev()
@@ -80,12 +80,32 @@ fn traced_run_profiles_and_exposes() {
             _ => None,
         })
         .expect("registry snapshot in trace");
-    let prom = render_prometheus(&snapshot);
-    let samples = validate_prometheus(&prom).expect("exposition lexes");
-    assert!(samples > 20, "expected a substantive exposition");
-    // Span durations surface as labeled summaries.
-    assert!(prom.contains("mct_span_wall_us{span=\"run\""));
-    assert!(prom.contains("mct_span_wall_us_count{span=\"fit\"}"));
+    let registry = render_registry(&snapshot);
+    let mut lines = registry.lines();
+    assert_eq!(lines.next(), Some("--- metrics registry ---"));
+    let series = snapshot.counters.len() + snapshot.histograms.len();
+    assert!(series > 10, "expected a substantive registry: {registry}");
+    assert_eq!(lines.count(), series, "one line per series");
+    // Span durations land in the registry as labeled histograms, one
+    // observation per closed span.
+    for span in ["run", "fit"] {
+        let name = format!("span.wall_us{{span=\"{span}\"}}");
+        let (_, h) = snapshot
+            .histograms
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("{name} missing from the registry"));
+        let closes = records
+            .iter()
+            .filter(|r| matches!(&r.event, Event::SpanClose { name, .. } if name == span))
+            .count();
+        assert_eq!(h.count, closes as u64, "{name}");
+        let line = registry
+            .lines()
+            .find(|l| l.trim_start().starts_with(&name))
+            .unwrap_or_else(|| panic!("{name} missing from {registry}"));
+        assert!(line.contains(&format!(" n={} ", h.count)), "{line}");
+    }
 
     // --- The report (as `mct report` renders it) narrates decisions and
     // summarizes spans in one line instead of per-event. ---

@@ -7,8 +7,8 @@
 //!    wall-clock probe in the controller is telemetry-gated and never
 //!    feeds results. Holds with fault hooks armed on an empty plan too,
 //!    the configuration `mct chaos` uses as its control arm.
-//! 2. **Zero cost when disabled**: with the default `NullRecorder`, a
-//!    span open/close pair is a branch each way — cheap enough to sit in
+//! 2. **Zero cost when disabled**: with no recorder attached (the
+//!    default), a span open/close pair is a branch each way — cheap enough to sit in
 //!    the simulator-facing hot loop. Asserted in release builds only,
 //!    where the contract actually matters.
 
